@@ -1109,7 +1109,7 @@ let dot_cmd =
           | Some `Freq ->
             Some
               (fun (fn : Mir.Func.t) ->
-                let loops = Analysis.Loops.analyze fn in
+                let loops = Mir.Loops.analyze fn in
                 let heur = Analysis.Heur.analyze ~loops fn in
                 let freq = Analysis.Freq.analyze ~heur ~loops fn in
                 fun (b : Mir.Block.t) ->
@@ -1310,61 +1310,55 @@ let cache_cmd =
 (* serve: the long-running optimization service                        *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let server_stats_json (st : Driver.Server.stats) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"requests\":%d,\"cold\":%d,\"shadow_runs\":%d,\"merges\":%d,\
-        \"reopts\":%d,\"domains\":%d,\"caches\":["
-       st.Driver.Server.st_requests st.Driver.Server.st_cold
-       st.Driver.Server.st_shadow_runs st.Driver.Server.st_merges
-       st.Driver.Server.st_reopts st.Driver.Server.st_domains);
-  List.iteri
-    (fun i (s : Sim.Artifact.stats) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"entries\":%d,\"hits\":%d,\"misses\":%d,\
-            \"builds\":%d,\"evictions\":%d}"
-           (json_escape s.Sim.Artifact.a_name)
-           s.Sim.Artifact.a_entries s.Sim.Artifact.a_hits
-           s.Sim.Artifact.a_misses s.Sim.Artifact.a_builds
-           s.Sim.Artifact.a_evictions))
-    st.Driver.Server.st_caches;
-  let ns = st.Driver.Server.st_native in
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\"native\":{\"memo_hits\":%d,\"disk_hits\":%d,\"compiles\":%d,\
-        \"memo_entries\":%d,\"memo_evictions\":%d,\"quarantined\":%d},\
-        \"overloaded\":%d,\"restored\":%d,\"programs\":["
-       ns.Sim.Native.memo_hits ns.Sim.Native.disk_hits
-       ns.Sim.Native.compiles ns.Sim.Native.memo_entries
-       ns.Sim.Native.memo_evictions ns.Sim.Native.quarantined
-       st.Driver.Server.st_overloaded st.Driver.Server.st_restored);
-  List.iteri
-    (fun i (name, gen, execs) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"generation\":%d,\"executions\":%d}"
-           (json_escape name) gen execs))
-    st.Driver.Server.st_programs;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let ns = st.Driver.Server.st_native and int n = Json.Int n in
+  Json.to_string
+    (Json.Obj
+       [
+         ("requests", int st.Driver.Server.st_requests);
+         ("cold", int st.Driver.Server.st_cold);
+         ("shadow_runs", int st.Driver.Server.st_shadow_runs);
+         ("merges", int st.Driver.Server.st_merges);
+         ("reopts", int st.Driver.Server.st_reopts);
+         ("domains", int st.Driver.Server.st_domains);
+         ( "caches",
+           Json.Arr
+             (List.map
+                (fun (s : Sim.Artifact.stats) ->
+                  Json.Obj
+                    [
+                      ("name", Json.Str s.Sim.Artifact.a_name);
+                      ("entries", int s.Sim.Artifact.a_entries);
+                      ("hits", int s.Sim.Artifact.a_hits);
+                      ("misses", int s.Sim.Artifact.a_misses);
+                      ("builds", int s.Sim.Artifact.a_builds);
+                      ("evictions", int s.Sim.Artifact.a_evictions);
+                    ])
+                st.Driver.Server.st_caches) );
+         ( "native",
+           Json.Obj
+             [
+               ("memo_hits", int ns.Sim.Native.memo_hits);
+               ("disk_hits", int ns.Sim.Native.disk_hits);
+               ("compiles", int ns.Sim.Native.compiles);
+               ("memo_entries", int ns.Sim.Native.memo_entries);
+               ("memo_evictions", int ns.Sim.Native.memo_evictions);
+               ("quarantined", int ns.Sim.Native.quarantined);
+             ] );
+         ("overloaded", int st.Driver.Server.st_overloaded);
+         ("restored", int st.Driver.Server.st_restored);
+         ( "programs",
+           Json.Arr
+             (List.map
+                (fun (name, gen, execs) ->
+                  Json.Obj
+                    [
+                      ("name", Json.Str name);
+                      ("generation", int gen);
+                      ("executions", int execs);
+                    ])
+                st.Driver.Server.st_programs) );
+       ])
 
 let domains_arg =
   Arg.(

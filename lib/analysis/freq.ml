@@ -52,7 +52,7 @@ let successor_probs fn heur (b : Mir.Block.t) =
     uniform (Array.to_list (Mir.Func.jtab fn id))
 
 let analyze ?heur ?loops fn =
-  let loops_t = match loops with Some l -> l | None -> Loops.analyze fn in
+  let loops_t = match loops with Some l -> l | None -> Mir.Loops.analyze fn in
   let heur =
     match heur with Some h -> h | None -> Heur.analyze ~loops:loops_t fn
   in
@@ -77,7 +77,7 @@ let analyze ?heur ?loops fn =
     | Some ps -> Option.value ~default:0. (List.assoc_opt dst ps)
     | None -> 0.
   in
-  let back src dst = Loops.is_back_edge loops_t ~src ~dst in
+  let back src dst = Mir.Loops.is_back_edge loops_t ~src ~dst in
   (* per-entry probability mass each back edge carries home; refined by
      the inner-loop passes before an outer pass consumes it *)
   let back_prob = Hashtbl.create 8 in
@@ -149,8 +149,8 @@ let analyze ?heur ?loops fn =
     (bfreq, visited)
   in
   List.iter
-    (fun (l : Loops.loop) -> ignore (run_pass ~is_final:false l.Loops.l_header))
-    (Loops.innermost_first loops_t);
+    (fun (l : Mir.Loops.loop) -> ignore (run_pass ~is_final:false l.Mir.Loops.header))
+    (Mir.Loops.innermost_first loops_t);
   let bfreq, visited =
     match fn.Mir.Func.blocks with
     | [] -> (Hashtbl.create 1, Hashtbl.create 1)

@@ -14,7 +14,7 @@
 
 type t
 
-val analyze : ?heur:Heur.t -> ?loops:Loops.t -> Mir.Func.t -> t
+val analyze : ?heur:Heur.t -> ?loops:Mir.Loops.t -> Mir.Func.t -> t
 (** [heur] / [loops] are computed when not supplied. *)
 
 val loop_cap : float

@@ -78,8 +78,8 @@ let succ_evidence ~name ~p ~taken_hit ~fall_hit =
 
 let branch_evidence fn loops post (b : Mir.Block.t) cond taken fall =
   let label = b.Mir.Block.label in
-  let postdominates succ = Dom.dominates post succ label in
-  let back dst = Loops.is_back_edge loops ~src:label ~dst in
+  let postdominates succ = Mir.Dom.dominates post succ label in
+  let back dst = Mir.Loops.is_back_edge loops ~src:label ~dst in
   let collect = ref [] in
   let add ev = collect := ev :: !collect in
   (* loop branch: a back edge is taken (paper's most reliable signal) *)
@@ -93,9 +93,9 @@ let branch_evidence fn loops post (b : Mir.Block.t) cond taken fall =
        avoided; only when neither edge is a back edge (back edges are
        already decided above, and stronger) *)
     if not (back taken || back fall) then (
-      match Loops.innermost loops label with
+      match Mir.Loops.innermost loops label with
       | Some l -> (
-        let leaves dst = not (Loops.in_body l dst) in
+        let leaves dst = not (Mir.Loops.in_body l dst) in
         match
           succ_evidence ~name:"loop-exit" ~p:p_loop_exit
             ~taken_hit:(leaves taken) ~fall_hit:(leaves fall)
@@ -147,8 +147,8 @@ let branch_evidence fn loops post (b : Mir.Block.t) cond taken fall =
   List.rev !collect
 
 let analyze ?loops ?post fn =
-  let loops = match loops with Some l -> l | None -> Loops.analyze fn in
-  let post = match post with Some p -> p | None -> Dom.compute_post fn in
+  let loops = match loops with Some l -> l | None -> Mir.Loops.analyze fn in
+  let post = match post with Some p -> p | None -> Mir.Dom.compute_post fn in
   let table = Hashtbl.create 32 in
   Mir.Func.iter_blocks fn (fun b ->
       match b.Mir.Block.term.Mir.Block.kind with

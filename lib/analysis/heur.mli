@@ -23,7 +23,7 @@ type evidence = {
 
 type t
 
-val analyze : ?loops:Loops.t -> ?post:Dom.t -> Mir.Func.t -> t
+val analyze : ?loops:Mir.Loops.t -> ?post:Mir.Dom.t -> Mir.Func.t -> t
 (** [loops] and [post] (postdominators) are computed when not
     supplied. *)
 

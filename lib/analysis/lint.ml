@@ -208,32 +208,17 @@ let pp_diag ppf d =
   Format.fprintf ppf "%s:%s: [%s] %s" d.func d.label (kind_name d.kind)
     d.message
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json diags =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"func\": \"%s\", \"label\": \"%s\", \"kind\": \"%s\", \
-            \"message\": \"%s\"}"
-           (json_escape d.func) (json_escape d.label)
-           (kind_name d.kind) (json_escape d.message)))
-    diags;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b
+  Json.to_string ~compact:false
+    (Json.Arr
+       (List.map
+          (fun d ->
+            Json.Obj
+              [
+                ("func", Json.Str d.func);
+                ("label", Json.Str d.label);
+                ("kind", Json.Str (kind_name d.kind));
+                ("message", Json.Str d.message);
+              ])
+          diags))
+  ^ "\n"

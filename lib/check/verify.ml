@@ -489,15 +489,19 @@ let certify_reordered ~fn_before ~fn_after (seq : Detect.t)
     leaves;
   if walk_errors = [] && !covered <> Iset.full then
     err "replica chain does not cover the full integer line";
-  (* dominator sanity: the only way into the spliced chain is the head *)
+  (* dominator sanity: the only way into the spliced chain is the head.
+     A chain block nothing reaches (an earlier sequence's rewrite can
+     cover the whole integer line and leave this one dead) has no way in
+     at all, so only reachable blocks are checked *)
   if walk_errors = [] then begin
-    let dom = Analysis.Dom.compute fn_after in
+    let dom = Mir.Dom.compute fn_after in
     List.iter
       (fun label ->
         if
-          not
-            (Analysis.Dom.dominates dom applied.Reorder.Apply.replica_entry
-               label)
+          Mir.Dom.known dom label
+          && not
+               (Mir.Dom.dominates dom applied.Reorder.Apply.replica_entry
+                  label)
         then err "chain block %s is reachable around the replica entry" label)
       visited_chain
   end;

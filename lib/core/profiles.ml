@@ -214,7 +214,7 @@ let add_static ?(scale = static_scale) (p : Mir.Program.t) (seqs : Detect.t list
       | None | Some [] -> ()
       | Some fn_seqs ->
         (* one analysis pass serves every sequence of the function *)
-        let loops = Analysis.Loops.analyze fn in
+        let loops = Mir.Loops.analyze fn in
         let heur = Analysis.Heur.analyze ~loops fn in
         let freq = Analysis.Freq.analyze ~heur ~loops fn in
         List.iter

@@ -2,9 +2,8 @@
 
    One JSON object per line, flushed as soon as the entry is known, so a
    run killed mid-corpus leaves a readable prefix behind — that is what
-   `bromc fuzz --resume` and the CI resume job consume.  The format is a
-   flat object of scalars; the reader below parses exactly that (it is
-   not a general JSON parser, and does not need to be). *)
+   `bromc fuzz --resume` and the CI resume job consume.  Lines are
+   written and read through the shared {!Json} codec. *)
 
 type entry = {
   e_id : int;            (* job index / fuzz case number *)
@@ -41,30 +40,21 @@ let ok e = String.equal e.e_status "ok"
 (* Writing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_line e =
-  Printf.sprintf
-    "{\"id\": %d, \"label\": \"%s\", \"status\": \"%s\", \"message\": \"%s\", \
-     \"attempts\": %d, \"retried\": %d, \"backend\": \"%s\", \"degraded\": %b, \
-     \"injected\": \"%s\", \"wall_ms\": %.3f}"
-    e.e_id (escape e.e_label) (escape e.e_status) (escape e.e_message)
-    e.e_attempts e.e_retried (escape e.e_backend) e.e_degraded
-    (escape e.e_injected) e.e_wall_ms
+  Json.to_string
+    (Json.Obj
+       [
+         ("id", Json.Int e.e_id);
+         ("label", Json.Str e.e_label);
+         ("status", Json.Str e.e_status);
+         ("message", Json.Str e.e_message);
+         ("attempts", Json.Int e.e_attempts);
+         ("retried", Json.Int e.e_retried);
+         ("backend", Json.Str e.e_backend);
+         ("degraded", Json.Bool e.e_degraded);
+         ("injected", Json.Str e.e_injected);
+         ("wall_ms", Json.Float e.e_wall_ms);
+       ])
 
 type writer = out_channel
 
@@ -87,100 +77,19 @@ let write path entries =
 
 exception Parse_error of string
 
-(* parse one flat JSON object of scalar fields into an assoc list of
-   raw string values (strings unescaped, numbers/bools verbatim) *)
-let parse_object line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let error fmt =
-    Printf.ksprintf (fun m -> raise (Parse_error (m ^ ": " ^ line))) fmt
-  in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | _ -> error "expected %c" c
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then error "unterminated string"
-      else
-        match line.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-          if !pos + 1 >= n then error "dangling escape";
-          (match line.[!pos + 1] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'u' ->
-            if !pos + 5 >= n then error "short \\u escape";
-            let code = int_of_string ("0x" ^ String.sub line (!pos + 2) 4) in
-            Buffer.add_char b (Char.chr (code land 255));
-            pos := !pos + 4
-          | c -> error "unknown escape \\%c" c);
-          pos := !pos + 2;
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_scalar () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> parse_string ()
-    | Some _ ->
-      let start = !pos in
-      while
-        !pos < n && (match line.[!pos] with ',' | '}' -> false | _ -> true)
-      do
-        incr pos
-      done;
-      String.trim (String.sub line start (!pos - start))
-    | None -> error "expected a value"
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = Some '}' then incr pos
-  else begin
-    let continue = ref true in
-    while !continue do
-      skip_ws ();
-      let key = parse_string () in
-      expect ':';
-      let v = parse_scalar () in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' -> incr pos
-      | Some '}' ->
-        incr pos;
-        continue := false
-      | _ -> error "expected , or }"
-    done
-  end;
-  List.rev !fields
-
+(* unknown fields are ignored and missing ones default, so manifests
+   from older and newer writers both load *)
 let entry_of_line line =
-  let fields = parse_object line in
-  let str k = Option.value ~default:"" (List.assoc_opt k fields) in
-  let int k = Option.value ~default:0 (int_of_string_opt (str k)) in
-  let flo k = Option.value ~default:0.0 (float_of_string_opt (str k)) in
+  let fields =
+    match Json.parse line with
+    | Json.Obj fields -> fields
+    | _ -> raise (Parse_error ("not a JSON object: " ^ line))
+    | exception Json.Parse_error m -> raise (Parse_error (m ^ ": " ^ line))
+  in
+  let get conv default k =
+    Option.value ~default (Option.bind (List.assoc_opt k fields) conv)
+  in
+  let str = get Json.str "" and int = get Json.int 0 in
   {
     e_id = int "id";
     e_label = str "label";
@@ -189,9 +98,9 @@ let entry_of_line line =
     e_attempts = max 1 (int "attempts");
     e_retried = int "retried";
     e_backend = str "backend";
-    e_degraded = String.equal (str "degraded") "true";
+    e_degraded = get Json.bool false "degraded";
     e_injected = str "injected";
-    e_wall_ms = flo "wall_ms";
+    e_wall_ms = get Json.num 0.0 "wall_ms";
   }
 
 (* a manifest is appended line by line and flushed per entry, so the

@@ -2,9 +2,8 @@
 
     One flat JSON object per line, flushed per entry, so a run killed
     mid-way leaves a readable prefix — which is exactly what
-    [bromc fuzz --resume] and the CI resume job consume.  {!read} parses
-    the same format back; it is a purpose-built flat-object reader, not a
-    general JSON parser. *)
+    [bromc fuzz --resume] and the CI resume job consume.  Lines are
+    written and {!read} back through the shared {!Json} codec. *)
 
 type entry = {
   e_id : int;          (** job index / fuzz case number *)
@@ -53,18 +52,6 @@ val write : string -> entry list -> unit
 (** Write a whole manifest at once. *)
 
 exception Parse_error of string
-
-val parse_object : string -> (string * string) list
-(** Parse one flat JSON object of scalar fields into an assoc list of
-    raw string values (strings unescaped; numbers and booleans
-    verbatim), in field order.  The substrate {!entry_of_line} is built
-    on — also reused by {!State}'s journal records, which share the
-    one-flat-object-per-line discipline.
-    @raise Parse_error on malformed input. *)
-
-val escape : string -> string
-(** JSON string-escape (quotes, backslashes, control characters) — the
-    writer half of {!parse_object}'s string fields. *)
 
 val entry_of_line : string -> entry
 (** @raise Parse_error on malformed input; unknown fields are ignored

@@ -8,12 +8,12 @@
    last-record-wins over snapshot-then-journal.  No deltas, no
    compaction logic beyond "snapshot, then truncate the journal".
 
-   Frame: "crc32hex payload\n" where payload is one flat JSON object in
-   {!Manifest}'s line dialect.  The CRC makes torn tails and mid-file
-   corruption (a hole from an interrupted write, a chaos-injected tear)
-   detectable per line; the reader skips frames that fail the check and
-   resynchronizes at the next newline, so one damaged record never
-   poisons the rest of the file. *)
+   Frame: "crc32hex payload\n" where payload is one flat JSON object
+   written and read through the shared {!Json} codec.  The CRC makes
+   torn tails and mid-file corruption (a hole from an interrupted
+   write, a chaos-injected tear) detectable per line; the reader skips
+   frames that fail the check and resynchronizes at the next newline,
+   so one damaged record never poisons the rest of the file. *)
 
 type program = {
   p_key : string;  (* Server content key: config fingerprint + source *)
@@ -145,31 +145,42 @@ let decode_bank s : bank option =
     else None
 
 let program_payload p =
-  Printf.sprintf
-    "{\"t\": \"program\", \"v\": %d, \"key\": \"%s\", \"name\": \"%s\", \
-     \"source\": \"%s\", \"drift\": \"%s\", \"last_opt\": %d, \"ranges\": \
-     \"%s\", \"combs\": \"%s\"}"
-    version (Manifest.escape p.p_key) (Manifest.escape p.p_name)
-    (Manifest.escape p.p_source)
-    (Manifest.escape
-       (Reorder.Drift.state_to_string ~generation:p.p_generation
-          ~executions:p.p_executions p.p_signature))
-    p.p_last_opt_execs
-    (Manifest.escape (encode_counters p.p_ranges))
-    (Manifest.escape (encode_counters p.p_combs))
+  Json.to_string
+    (Json.Obj
+       [
+         ("t", Json.Str "program");
+         ("v", Json.Int version);
+         ("key", Json.Str p.p_key);
+         ("name", Json.Str p.p_name);
+         ("source", Json.Str p.p_source);
+         ( "drift",
+           Json.Str
+             (Reorder.Drift.state_to_string ~generation:p.p_generation
+                ~executions:p.p_executions p.p_signature) );
+         ("last_opt", Json.Int p.p_last_opt_execs);
+         ("ranges", Json.Str (encode_counters p.p_ranges));
+         ("combs", Json.Str (encode_counters p.p_combs));
+       ])
 
 let bank_payload (b : bank) =
-  Printf.sprintf "{\"t\": \"bank\", \"v\": %d, \"tallies\": \"%s\"}" version
-    (Manifest.escape (encode_bank b))
+  Json.to_string
+    (Json.Obj
+       [
+         ("t", Json.Str "bank");
+         ("v", Json.Int version);
+         ("tallies", Json.Str (encode_bank b));
+       ])
 
 type record = Program of program | Bank of bank
 
 let record_of_payload payload =
-  match Manifest.parse_object payload with
-  | exception Manifest.Parse_error _ -> None
+  match Json.parse payload with
+  | exception Json.Parse_error _ -> None
   | fields -> (
-    let str k = Option.value ~default:"" (List.assoc_opt k fields) in
-    let int k = Option.bind (List.assoc_opt k fields) int_of_string_opt in
+    let str k =
+      Option.value ~default:"" (Option.bind (Json.member k fields) Json.str)
+    in
+    let int k = Option.bind (Json.member k fields) Json.int in
     if int "v" <> Some version then None
     else
       match str "t" with

@@ -4,8 +4,7 @@
     profiling loop learns — merged {!Sim.Profile} counters, predictor
     bank tallies, {!Reorder.Drift} generations and signatures — is
     persisted as {e absolute} per-program records, one CRC-framed flat
-    JSON line each ({!Manifest}'s line dialect under a [crc32hex ]
-    prefix).  The journal is appended and flushed record by record; a
+    JSON line each (a {!Json} object under a [crc32hex ] prefix).  The journal is appended and flushed record by record; a
     snapshot rewrites the whole state atomically (tmp-then-rename) and
     truncates the journal.  Restore replays snapshot then journal with
     last-record-wins, so duplicated or superseded records are free.

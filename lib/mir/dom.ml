@@ -1,50 +1,45 @@
-(* Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm":
-   iterative intersection over a reverse-postorder numbering. *)
+(* Cooper, Harvey & Kennedy, "A Simple, Fast Dominance Algorithm",
+   generalized over an abstract successor function so the same engine
+   yields dominators (forward CFG) and postdominators (reversed CFG
+   rooted at a virtual exit).  The one dominator engine: loop finding,
+   LICM, the verifier and the static-profile analyses all sit on it. *)
 
 type t = {
-  order : string array;                  (* reverse postorder; order.(0) = entry *)
+  order : string array;                  (* reverse postorder; order.(0) = root *)
   number : (string, int) Hashtbl.t;
   idom : int array;                      (* idom.(i) = rpo index, or -1 *)
-  succs : (string, string list) Hashtbl.t;
 }
 
-let reverse_postorder fn =
+let virtual_exit = "<exit>"
+
+(* reverse postorder of the nodes reachable from [root] under [succs] *)
+let reverse_postorder ~root ~succs =
   let visited = Hashtbl.create 64 in
   let post = ref [] in
   let rec dfs label =
     if not (Hashtbl.mem visited label) then begin
       Hashtbl.replace visited label ();
-      (match Func.find_block_opt fn label with
-      | Some b -> List.iter dfs (Func.successors fn b)
-      | None -> ());
+      List.iter dfs (succs label);
       post := label :: !post
     end
   in
-  (match fn.Func.blocks with
-  | entry :: _ -> dfs entry.Block.label
-  | [] -> ());
+  dfs root;
   Array.of_list !post
 
-let compute fn =
-  let order = reverse_postorder fn in
+let of_graph ~root ~succs =
+  let order = reverse_postorder ~root ~succs in
   let n = Array.length order in
   let number = Hashtbl.create n in
   Array.iteri (fun i l -> Hashtbl.replace number l i) order;
-  let succs = Hashtbl.create n in
   let preds = Array.make n [] in
   Array.iteri
     (fun i label ->
-      match Func.find_block_opt fn label with
-      | None -> ()
-      | Some b ->
-        let ss = Func.successors fn b in
-        Hashtbl.replace succs label ss;
-        List.iter
-          (fun s ->
-            match Hashtbl.find_opt number s with
-            | Some j -> preds.(j) <- i :: preds.(j)
-            | None -> ())
-          ss)
+      List.iter
+        (fun s ->
+          match Hashtbl.find_opt number s with
+          | Some j -> preds.(j) <- i :: preds.(j)
+          | None -> ())
+        (succs label))
     order;
   let idom = Array.make n (-1) in
   if n > 0 then begin
@@ -70,7 +65,46 @@ let compute fn =
       done
     done
   end;
-  { order; number; idom; succs }
+  { order; number; idom }
+
+let func_succs fn label =
+  match Func.find_block_opt fn label with
+  | Some b -> Func.successors fn b
+  | None -> []
+
+let compute fn =
+  match fn.Func.blocks with
+  | [] -> { order = [||]; number = Hashtbl.create 1; idom = [||] }
+  | entry :: _ ->
+    of_graph ~root:entry.Block.label ~succs:(func_succs fn)
+
+(* postdominators: dominators of the reverse CFG, rooted at a virtual
+   exit whose reverse successors are every reachable exit block (a [Ret]
+   terminator).  Blocks that cannot reach an exit (infinite loops) have
+   no postdominators; [dominates] answers [false] for them. *)
+let compute_post fn =
+  match fn.Func.blocks with
+  | [] -> { order = [||]; number = Hashtbl.create 1; idom = [||] }
+  | _ ->
+    let reachable = Func.reachable fn in
+    let exits =
+      List.filter_map
+        (fun (b : Block.t) ->
+          match b.Block.term.Block.kind with
+          | Block.Ret _ when Hashtbl.mem reachable b.Block.label ->
+            Some b.Block.label
+          | _ -> None)
+        fn.Func.blocks
+    in
+    let preds = Func.predecessors fn in
+    let succs label =
+      if String.equal label virtual_exit then exits
+      else
+        match Hashtbl.find_opt preds label with
+        | Some ps -> List.filter (Hashtbl.mem reachable) ps
+        | None -> []
+    in
+    of_graph ~root:virtual_exit ~succs
 
 let idom t label =
   match Hashtbl.find_opt t.number label with
@@ -79,9 +113,11 @@ let idom t label =
     if i = 0 || t.idom.(i) < 0 then None else Some t.order.(t.idom.(i))
 
 let dominates t a b =
-  match Hashtbl.find_opt t.number a, Hashtbl.find_opt t.number b with
+  match (Hashtbl.find_opt t.number a, Hashtbl.find_opt t.number b) with
   | Some ia, Some ib ->
-    let rec walk i = if i = ia then true else if i = 0 then ia = 0 else walk t.idom.(i) in
+    let rec walk i =
+      if i = ia then true else if i = 0 then ia = 0 else walk t.idom.(i)
+    in
     if t.idom.(ib) < 0 && ib <> 0 then false else walk ib
   | _ -> false
 
@@ -98,32 +134,4 @@ let dominators t label =
       up [] i
     end
 
-let dominance_frontier t label =
-  match Hashtbl.find_opt t.number label with
-  | None -> []
-  | Some _ ->
-    let out = ref [] in
-    Array.iteri
-      (fun i l ->
-        (* l is in DF(label) if label dominates a predecessor of l but
-           does not strictly dominate l *)
-        ignore i;
-        match Hashtbl.find_opt t.number l with
-        | None -> ()
-        | Some li ->
-          if li <> 0 && t.idom.(li) < 0 then ()
-          else
-            let has_pred_dominated =
-              Array.exists
-                (fun p ->
-                  match Hashtbl.find_opt t.succs p with
-                  | Some ss -> List.mem l ss && dominates t label p
-                  | None -> false)
-                t.order
-            in
-            if
-              has_pred_dominated
-              && ((not (dominates t label l)) || String.equal label l)
-            then out := l :: !out)
-      t.order;
-    List.rev !out
+let known t label = Hashtbl.mem t.number label

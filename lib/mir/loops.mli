@@ -1,18 +1,38 @@
-(** Natural-loop detection from back edges.
+(** Natural loop nests.
 
-    A back edge is an edge [tail -> head] where [head] dominates [tail];
-    its natural loop is [head] plus every block that can reach [tail]
-    without passing through [head].  Loops sharing a header are merged.
-    Used by loop-invariant code motion. *)
+    A back edge is an edge [tail -> head] where [head] dominates [tail]
+    (via {!Dom}); its header's natural loop is the predecessor closure of
+    the back-edge tails, restricted to reachable blocks.  Loops sharing a
+    header are merged.  On top of the bare loops this records the nesting
+    structure — depth, parent, innermost loop of a block — which the
+    static-profile heuristics and frequency propagation consume, and
+    {!preheader} gives loop-invariant code motion its landing block. *)
 
 type loop = {
   header : string;
-  body : string list;    (** includes the header; deterministic order *)
-  back_edges : string list;  (** the tails *)
+  body : string list;        (** layout order, header included *)
+  back_edges : string list;  (** tails of the back edges into the header *)
+  depth : int;               (** 1 = outermost *)
+  parent : string option;    (** header of the directly enclosing loop *)
 }
 
-val find : Func.t -> loop list
-(** Loops in order of their header's layout position. *)
+type t
+
+val analyze : Func.t -> t
+
+val loops : t -> loop list
+(** Layout order of the headers. *)
+
+val innermost_first : t -> loop list
+(** Deepest first, stable within a depth (layout order). *)
+
+val is_header : t -> string -> bool
+val is_back_edge : t -> src:string -> dst:string -> bool
+
+val innermost : t -> string -> loop option
+(** Smallest loop containing the label. *)
+
+val in_body : loop -> string -> bool
 
 val preheader : Func.t -> loop -> string
 (** The unique block outside the loop that falls into the header,

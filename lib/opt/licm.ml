@@ -105,7 +105,7 @@ let run_func (fn : Mir.Func.t) =
     let n =
       List.fold_left
         (fun acc loop -> acc + hoist_from_loop fn loop)
-        0 (Mir.Loops.find fn)
+        0 (Mir.Loops.loops (Mir.Loops.analyze fn))
     in
     total := !total + n;
     continue_ := n > 0

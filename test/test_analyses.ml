@@ -58,18 +58,17 @@ let test_dom_diamond_join () =
     (Mir.Dom.idom dom "join");
   Alcotest.(check (list string)) "dominator chain of join" [ "join"; "entry" ]
     (Mir.Dom.dominators dom "join");
-  check_bool "t does not dominate join" false (Mir.Dom.dominates dom "t" "join");
-  (* dominance frontier: t's frontier is the join *)
-  Alcotest.(check (list string)) "frontier of t" [ "join" ]
-    (Mir.Dom.dominance_frontier dom "t")
+  check_bool "t does not dominate join" false (Mir.Dom.dominates dom "t" "join")
 
 (* ------------------------------------------------------------------ *)
 (* Loops                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let find_loops fn = Mir.Loops.loops (Mir.Loops.analyze fn)
+
 let test_loop_detection () =
   let fn = loop_fn () in
-  match Mir.Loops.find fn with
+  match find_loops fn with
   | [ l ] ->
     check_output "header" "head" l.Mir.Loops.header;
     Alcotest.(check (list string)) "body" [ "head"; "body" ] l.Mir.Loops.body;
@@ -83,11 +82,19 @@ let test_loop_nested () =
        0; j < 3; j++) s++; print_int(s); return 0; }"
   in
   let fn = Mir.Program.find_func prog "main" in
-  check_int "two loops" 2 (List.length (Mir.Loops.find fn))
+  match find_loops fn with
+  | [ outer; inner ] ->
+    check_int "outer depth" 1 outer.Mir.Loops.depth;
+    check_int "inner depth" 2 inner.Mir.Loops.depth;
+    Alcotest.(check (option string)) "inner's parent"
+      (Some outer.Mir.Loops.header) inner.Mir.Loops.parent;
+    check_bool "inner body nested" true
+      (List.for_all (Mir.Loops.in_body outer) inner.Mir.Loops.body)
+  | ls -> Alcotest.failf "expected two loops, got %d" (List.length ls)
 
 let test_preheader_reuse () =
   let fn = loop_fn () in
-  let l = List.hd (Mir.Loops.find fn) in
+  let l = List.hd (find_loops fn) in
   (* entry already falls uniquely into head *)
   check_output "existing block reused" "entry" (Mir.Loops.preheader fn l)
 
@@ -100,7 +107,7 @@ let test_preheader_created () =
   (Mir.Func.find_block fn "entry").Mir.Block.insns <-
     (Mir.Func.find_block fn "entry").Mir.Block.insns
     @ [ Mir.Insn.Cmp (reg 1, imm 0) ];
-  let l = List.hd (Mir.Loops.find fn) in
+  let l = List.hd (find_loops fn) in
   let ph = Mir.Loops.preheader fn l in
   check_bool "fresh block" true (not (String.equal ph "entry"));
   (* both outside predecessors now reach head only through ph *)

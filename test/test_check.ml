@@ -96,6 +96,49 @@ let test_rejects_wrong_default_target () =
     check_bool "verifier rejects the wrong target" false
       (Check.Verify.ok summary))
 
+(* hand-mutate the certified result the other way: give a deep chain
+   block a way in that bypasses the replica entry (a new function entry
+   that branches straight to it).  The dominator check must still reject
+   a reachable chain block the replica entry does not dominate. *)
+let test_rejects_bypassed_replica_entry () =
+  let base, reord, report = transform ~training:dispatch_training dispatch_src in
+  match
+    List.find_map
+      (fun (sr : Reorder.Pass.seq_report) ->
+        match sr.Reorder.Pass.sr_outcome with
+        | Reorder.Pass.Reordered a -> Some (sr.Reorder.Pass.sr_seq, a)
+        | _ -> None)
+      report.Reorder.Pass.seq_reports
+  with
+  | None -> Alcotest.fail "expected a reordered sequence to mutate"
+  | Some (seq, a) ->
+    let fb = Mir.Program.find_func base seq.Reorder.Detect.func_name in
+    let fa = Mir.Program.find_func reord seq.Reorder.Detect.func_name in
+    let entry = a.Reorder.Apply.replica_entry in
+    let deep =
+      List.find_map
+        (fun (l, _, _) -> if String.equal l entry then None else Some l)
+        (Check.Verify.live_leaf_edges ~fn_before:fb ~fn_after:fa
+           ~var:seq.Reorder.Detect.var ~entry)
+    in
+    (match deep with
+    | None -> Alcotest.fail "expected a chain block below the replica entry"
+    | Some deep ->
+      let old_entry = (Mir.Func.entry fa).Mir.Block.label in
+      let bypass =
+        Mir.Block.make ~label:(Mir.Func.fresh_label fa)
+          [ Mir.Insn.Cmp (Mir.Operand.Reg seq.Reorder.Detect.var, Mir.Operand.Imm 0) ]
+          (Mir.Block.Br (Mir.Cond.Eq, deep, old_entry))
+      in
+      fa.Mir.Func.blocks <- bypass :: fa.Mir.Func.blocks;
+      let summary =
+        Check.Verify.certify_report ~before:base ~after:reord report
+      in
+      check_bool "the bypass is named" true
+        (List.exists
+           (fun m -> contains_substring m "reachable around the replica entry")
+           (Check.Verify.all_errors summary)))
+
 let test_pipeline_verify_flag () =
   let config = { Driver.Config.default with Driver.Config.verify = true } in
   let r =
@@ -216,6 +259,8 @@ let suite =
     case "verifier certifies a reordered dispatcher" test_certifies_dispatch;
     case "verifier rejects a wrong default target"
       test_rejects_wrong_default_target;
+    case "verifier rejects a chain block entered around the replica entry"
+      test_rejects_bypassed_replica_entry;
     case "pipeline --verify populates and certifies" test_pipeline_verify_flag;
     case "spec_of_seed is deterministic" test_spec_of_seed_deterministic;
     case "generated specs validate" test_generated_specs_validate;

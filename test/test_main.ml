@@ -28,4 +28,5 @@ let () =
       ("state", Test_state.suite);
       ("bench-db", Test_bench_db.suite);
       ("static", Test_static.suite);
+      ("json", Test_json.suite);
     ]

@@ -10,18 +10,69 @@
 open Helpers
 module Gen = Check.Gen
 
+(* trained profiles (the paper's baseline), and static profiles with
+   every rewrite certified by Check.Verify *)
+let dispatcher_configs =
+  [
+    Driver.Config.default;
+    { Driver.Config.default with Driver.Config.profile = `Static; verify = true };
+  ]
+
 let prop_pipeline_preserves_semantics =
   qcheck2 ~count:150 ~print:Gen.print_dispatch
     "pipeline preserves semantics on random dispatchers" Gen.gen_dispatch
     (fun (p : Gen.dispatch) ->
-      (* Pipeline.run raises Failure on any output divergence and the
-         validator raises on malformed MIR *)
-      let r =
-        reorder_pipeline ~training_input:p.Gen.train ~test_input:p.Gen.test
-          (Gen.dispatch_source p)
-      in
-      ignore r;
+      (* Pipeline.run raises Failure on any output divergence, on a
+         rejected rewrite, and (via the validator) on malformed MIR *)
+      List.iter
+        (fun config ->
+          ignore
+            (reorder_pipeline ~config ~training_input:p.Gen.train
+               ~test_input:p.Gen.test (Gen.dispatch_source p)))
+        dispatcher_configs;
       true)
+
+(* Seed 1's dispatch22 under heuristic set II.  With static counts the
+   first sequence's rewrite ([c <= 91 -> 1; c > 51 -> 2]) covers the
+   whole integer line, so the second sequence's chain is dead code.
+   Unreachable chain blocks have no way in around the replica entry, so
+   the rewrite must certify. *)
+let test_dead_chain_certified () =
+  let source =
+    {|int g;
+int f(int c) {
+  if (c <= 91) return 1;
+  if (c > 51) return 2;
+  if (c > 62) return 3;
+  if (c != 87) return 4;
+  if (c <= 6) return 5;
+  if (c <= 44) return 6;
+  return 0;
+}
+int main() { int c; int s = 0; while ((c = getchar()) != EOF) { s = s * 31 + f(c); s = s % 65536; } print_int(s); putchar(' '); print_int(g); return 0; }
+|}
+  in
+  List.iter
+    (fun profile ->
+      let config =
+        {
+          Driver.Config.default with
+          Driver.Config.heuristic = Mopt.Switch_lower.set_ii;
+          profile;
+          verify = true;
+        }
+      in
+      let r =
+        reorder_pipeline ~config ~training_input:"a\x07Zq\n"
+          ~test_input:"|<\025O0" source
+      in
+      match r.Driver.Pipeline.r_verify with
+      | Some v ->
+        check_bool "both sequences checked" true
+          (List.length v.Check.Verify.seq_results >= 2);
+        check_bool "certified" true (Check.Verify.ok v)
+      | None -> Alcotest.fail "the rewrite was not verified")
+    [ `Static; `Both ]
 
 (* Training-input regression guard.  This was a QCheck property whose
    bound had to be loosened repeatedly to absorb unlucky draws (delay
@@ -112,44 +163,17 @@ let prop_switch_reorder_preserves =
 (* Reference-model properties for the analyses                          *)
 (* ------------------------------------------------------------------ *)
 
-(* reference dominance: a dominates b iff b is unreachable from the
-   entry once a is removed (and both are reachable) *)
-let reference_dominates fn a b =
-  if String.equal a b then true
-  else begin
-    let reachable_avoiding avoided =
-      let seen = Hashtbl.create 16 in
-      let rec go l =
-        if (not (Hashtbl.mem seen l)) && not (String.equal l avoided) then begin
-          Hashtbl.replace seen l ();
-          match Mir.Func.find_block_opt fn l with
-          | Some b -> List.iter go (Mir.Func.successors fn b)
-          | None -> ()
-        end
-      in
-      (match fn.Mir.Func.blocks with
-      | e :: _ -> go e.Mir.Block.label
-      | [] -> ());
-      seen
-    in
-    not (Hashtbl.mem (reachable_avoiding a) b)
-  end
-
+(* the brute-force references live in Helpers, shared with the corpus
+   checks in Test_static *)
 let prop_dominators_match_reference =
   qcheck2 ~count:300 ~print:Gen.print_cfg
     "dominators agree with the path-cutting reference" Gen.gen_cfg (fun spec ->
-      let fn = Gen.build_cfg spec in
-      let dom = Mir.Dom.compute fn in
-      let reach = Mir.Func.reachable fn in
-      List.for_all
-        (fun (a : Mir.Block.t) ->
-          List.for_all
-            (fun (b : Mir.Block.t) ->
-              let la = a.Mir.Block.label and lb = b.Mir.Block.label in
-              if not (Hashtbl.mem reach la && Hashtbl.mem reach lb) then true
-              else Mir.Dom.dominates dom la lb = reference_dominates fn la lb)
-            fn.Mir.Func.blocks)
-        fn.Mir.Func.blocks)
+      dom_matches_reference ~post:false (Gen.build_cfg spec))
+
+let prop_postdominators_match_reference =
+  qcheck2 ~count:300 ~print:Gen.print_cfg
+    "postdominators agree with the path-cutting reference" Gen.gen_cfg
+    (fun spec -> dom_matches_reference ~post:true (Gen.build_cfg spec))
 
 let prop_loops_headers_dominate_bodies =
   qcheck2 ~count:300 ~print:Gen.print_cfg "loop headers dominate their bodies"
@@ -161,7 +185,7 @@ let prop_loops_headers_dominate_bodies =
           List.for_all
             (fun b -> Mir.Dom.dominates dom l.Mir.Loops.header b)
             l.Mir.Loops.body)
-        (Mir.Loops.find fn))
+        (Mir.Loops.loops (Mir.Loops.analyze fn)))
 
 (* ------------------------------------------------------------------ *)
 (* Front-end robustness fuzz                                           *)
@@ -206,12 +230,15 @@ let prop_mir_parser_total =
 let suite =
   [
     prop_pipeline_preserves_semantics;
+    case "verifier accepts a rewrite that leaves a later chain dead"
+      test_dead_chain_certified;
     slow_case "reordering never materially regresses on the seeded corpus"
       training_regression_corpus;
     prop_exhaustive_never_loses;
     prop_switch_heuristics_agree;
     prop_switch_reorder_preserves;
     prop_dominators_match_reference;
+    prop_postdominators_match_reference;
     prop_loops_headers_dominate_bodies;
     prop_lexer_total;
     prop_parser_total;

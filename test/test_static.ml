@@ -1,9 +1,8 @@
 (* The static-prediction layer: golden heuristic probabilities on
    hand-built CFGs, the Dempster–Shafer combination rule, Wu–Larus
-   frequency propagation properties, the Analysis.Dom differential
-   against Mir.Dom (Check.Verify runs on the former, the optimizer on
-   the latter — they must agree), and the static-profile pipeline's
-   backend differential. *)
+   frequency propagation properties, dominators and postdominators
+   against the brute-force reference on the fuzz and repro corpora, and
+   the static-profile pipeline's backend differential. *)
 
 open Helpers
 
@@ -188,7 +187,7 @@ f.spin:
 
 (* all of [Freq]'s documented guarantees on one function *)
 let freq_invariants fn =
-  let loops = Analysis.Loops.analyze fn in
+  let loops = Mir.Loops.analyze fn in
   let freq = Analysis.Freq.analyze ~loops fn in
   let preds = Mir.Func.predecessors fn in
   let entry = (Mir.Func.entry fn).Mir.Block.label in
@@ -209,7 +208,7 @@ let freq_invariants fn =
       let conserved =
         (not (Analysis.Freq.reached freq label))
         || String.equal label entry
-        || Analysis.Loops.is_header loops label
+        || Mir.Loops.is_header loops label
         ||
         let inflow =
           List.fold_left
@@ -234,33 +233,13 @@ let prop_freq_cfgs =
     "freq invariants on random CFGs (incl. irreducible)" Check.Gen.gen_cfg
     (fun cfg -> freq_invariants (Check.Gen.build_cfg cfg))
 
-(* --- Analysis.Dom vs Mir.Dom differential -------------------------- *)
+(* --- dominators on the corpora --------------------------------------- *)
 
-(* Check.Verify certifies rewrites with [Analysis.Dom]; the optimizer's
-   loop analyses run on [Mir.Dom].  On reachable blocks the two must be
-   the same analysis. *)
-let dom_agrees fn =
-  let a = Analysis.Dom.compute fn in
-  let m = Mir.Dom.compute fn in
-  let reachable = Mir.Func.reachable fn in
-  let labels =
-    List.filter
-      (fun l -> Hashtbl.mem reachable l)
-      (List.map (fun (b : Mir.Block.t) -> b.Mir.Block.label) fn.Mir.Func.blocks)
-  in
-  List.for_all
-    (fun x ->
-      Option.equal String.equal (Analysis.Dom.idom a x) (Mir.Dom.idom m x)
-      && List.for_all
-           (fun y ->
-             Analysis.Dom.dominates a x y = Mir.Dom.dominates m x y)
-           labels)
-    labels
-
-let prop_dom_cfgs =
-  qcheck2 ~count:200 ~print:Check.Gen.print_cfg
-    "Analysis.Dom = Mir.Dom on random CFGs" Check.Gen.gen_cfg
-    (fun cfg -> dom_agrees (Check.Gen.build_cfg cfg))
+(* Mir.Dom serves the loop analyses, LICM, the static heuristics and
+   Check.Verify; both directions must match the path-cutting reference
+   (random CFGs are covered by the properties in Test_properties) *)
+let dom_ok fn =
+  dom_matches_reference ~post:false fn && dom_matches_reference ~post:true fn
 
 let test_dom_fuzz_corpus () =
   List.iter
@@ -269,8 +248,9 @@ let test_dom_fuzz_corpus () =
       List.iter
         (fun fn ->
           Alcotest.(check bool)
-            (Printf.sprintf "dominators agree on %s" fn.Mir.Func.name)
-            true (dom_agrees fn))
+            (Printf.sprintf "dominators match the reference on %s"
+               fn.Mir.Func.name)
+            true (dom_ok fn))
         p.Mir.Program.funcs)
     (Check.Gen.sample ~seed:7 ~n:25 Check.Gen.gen_spec)
 
@@ -284,27 +264,27 @@ let test_dom_repro_corpus () =
         List.iter
           (fun fn ->
             Alcotest.(check bool)
-              (Printf.sprintf "dominators agree on %s/%s"
+              (Printf.sprintf "dominators match the reference on %s/%s"
                  r.Bench_db.Corpus.rp_name fn.Mir.Func.name)
-              true (dom_agrees fn))
+              true (dom_ok fn))
           r.Bench_db.Corpus.rp_program.Mir.Program.funcs)
       repros
 
 let test_postdom () =
   let fn = while_loop () in
-  let post = Analysis.Dom.compute_post fn in
-  let exit = Analysis.Dom.virtual_exit in
+  let post = Mir.Dom.compute_post fn in
+  let exit = Mir.Dom.virtual_exit in
   List.iter
     (fun label ->
       Alcotest.(check bool)
         (Printf.sprintf "virtual exit postdominates %s" label)
         true
-        (Analysis.Dom.dominates post exit label))
+        (Mir.Dom.dominates post exit label))
     [ "f.entry"; "f.head"; "f.body"; "f.exit" ];
   Alcotest.(check bool) "exit postdominates the header" true
-    (Analysis.Dom.dominates post "f.exit" "f.head");
+    (Mir.Dom.dominates post "f.exit" "f.head");
   Alcotest.(check bool) "the body does not postdominate the header" false
-    (Analysis.Dom.dominates post "f.body" "f.head")
+    (Mir.Dom.dominates post "f.body" "f.head")
 
 (* --- static profile counts ----------------------------------------- *)
 
@@ -378,9 +358,8 @@ let suite =
     case "freq: cyclic probability saturates at the cap" test_freq_loop_cap;
     prop_freq_specs;
     prop_freq_cfgs;
-    prop_dom_cfgs;
-    case "dom: differential on fuzz specs" test_dom_fuzz_corpus;
-    case "dom: differential on the repro corpus" test_dom_repro_corpus;
+    case "dom: reference check on fuzz specs" test_dom_fuzz_corpus;
+    case "dom: reference check on the repro corpus" test_dom_repro_corpus;
     case "dom: postdominators of a while loop" test_postdom;
     case "profiles: of_static fills every sequence" test_of_static_counts;
     prop_static_differential;
