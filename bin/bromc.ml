@@ -154,39 +154,17 @@ let timings_arg =
         ~doc:"Report per-stage wall-clock times on stderr.")
 
 let backend_conv =
-  let parse = function
-    | "reference" | "ref" -> Ok `Reference
-    | "predecoded" | "image" -> Ok `Predecoded
-    | "compiled" | "closure" -> Ok `Compiled
-    | "native" -> Ok `Native
-    | s ->
+  let parse s =
+    match Sim.Machine.backend_of_name s with
+    | Some b -> Ok b
+    | None ->
       Error
         (`Msg
           (Printf.sprintf
-             "unknown backend %S (use reference, predecoded, compiled or \
-              native)" s))
+             "unknown backend %S (use reference, compiled or native)" s))
   in
-  let print ppf b =
-    Format.pp_print_string ppf
-      (match b with
-      | `Reference -> "reference"
-      | `Predecoded -> "predecoded"
-      | `Compiled -> "compiled"
-      | `Native -> "native")
-  in
+  let print ppf b = Format.pp_print_string ppf (Sim.Machine.backend_name b) in
   Arg.conv (parse, print)
-
-let backend_arg default =
-  Arg.(
-    value
-    & opt backend_conv default
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Execution engine: $(b,reference) (MIR-walking oracle), \
-           $(b,predecoded) (flat-image interpreter), $(b,compiled) \
-           (closure-threaded code) or $(b,native) (runtime OCaml codegen \
-           via ocamlfind + Dynlink; falls back to compiled when no \
-           toolchain is present).  All four are observably identical.")
 
 let profile_conv =
   let parse s =
@@ -216,42 +194,66 @@ let profile_arg =
            $(b,both) (train, then backfill sequences the training input \
            never exercised with the static prediction).")
 
-(* native artifact-store options, shared by every command that can select
-   --backend=native; applied both process-wide (for Sim.Native callers
-   that do not thread a Config) and onto the driver Config *)
-let native_cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "native-cache" ] ~docv:"DIR"
-        ~doc:
-          "Directory of the native backend's compiled-artifact store \
-           (default: $(b,BROMC_NATIVE_CACHE), else \
-           \\$XDG_CACHE_HOME/bromc/native).")
-
-let no_native_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-native-cache" ]
-        ~doc:
-          "Do not read or write the on-disk artifact store; native code is \
-           rebuilt in a temporary directory and discarded (the in-process \
-           memo still applies).")
-
-let apply_native_opts dir no_cache =
-  (match dir with Some _ -> Sim.Native.set_default_cache_dir dir | None -> ());
-  if no_cache then Sim.Native.set_default_use_cache false
-
-(* resolve `Native for ungraded commands: warn and degrade to `Compiled
-   when the toolchain cannot deliver, instead of dying on Unavailable *)
-let resolve_backend backend =
-  match backend with
-  | `Native when not (Sim.Native.available ()) ->
-    Printf.eprintf
-      "warning: native backend unavailable (no working ocamlfind/Dynlink \
-       toolchain); falling back to compiled\n%!";
-    `Compiled
-  | b -> b
+(* the execution engine and the native artifact store as one term,
+   yielding {!Driver.Config.default} with its three engine fields set.
+   The store options are also applied process-wide, for Sim.Native
+   callers that do not thread a Config.  Unless [degrade] (commands that
+   walk their own degradation ladder), an unavailable native engine
+   warns and resolves to compiled instead of dying on Unavailable. *)
+let engine_term ?(degrade = false) () =
+  let backend =
+    Arg.(
+      value
+      & opt backend_conv `Compiled
+      & info [ "backend" ] ~docv:"BACKEND"
+          ~doc:
+            "Execution engine: $(b,reference) (MIR-walking oracle), \
+             $(b,compiled) (closure-threaded code) or $(b,native) (runtime \
+             OCaml codegen via ocamlfind + Dynlink; falls back to compiled \
+             when no toolchain is present).  All three are observably \
+             identical.")
+  in
+  let cache_dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "native-cache" ] ~docv:"DIR"
+          ~doc:
+            "Directory of the native backend's compiled-artifact store \
+             (default: $(b,BROMC_NATIVE_CACHE), else \
+             \\$XDG_CACHE_HOME/bromc/native).")
+  in
+  let no_cache =
+    Arg.(
+      value & flag
+      & info [ "no-native-cache" ]
+          ~doc:
+            "Do not read or write the on-disk artifact store; native code \
+             is rebuilt in a temporary directory and discarded (the \
+             in-process memo still applies).")
+  in
+  let make backend native_cache_dir no_cache =
+    (match native_cache_dir with
+    | Some _ -> Sim.Native.set_default_cache_dir native_cache_dir
+    | None -> ());
+    if no_cache then Sim.Native.set_default_use_cache false;
+    let backend =
+      match backend with
+      | `Native when (not degrade) && not (Sim.Native.available ()) ->
+        Printf.eprintf
+          "warning: native backend unavailable (no working ocamlfind/Dynlink \
+           toolchain); falling back to compiled\n%!";
+        `Compiled
+      | b -> b
+    in
+    {
+      Driver.Config.default with
+      Driver.Config.backend;
+      native_cache_dir;
+      native_cache = not no_cache;
+    }
+  in
+  Term.(const make $ backend $ cache_dir $ no_cache)
 
 let report_stage label seconds = Printf.eprintf "[time] %-8s %7.3fs\n" label seconds
 
@@ -264,10 +266,8 @@ let verify_arg =
            after the reordering pass; a rejected rewrite aborts the run.")
 
 let run_cmd =
-  let run source hs input trace reference backend timings ncache_dir
-      no_ncache =
+  let run source hs input trace engine timings =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir no_ncache;
         let stage label f =
           if not timings then f ()
           else begin
@@ -284,9 +284,7 @@ let run_cmd =
             Some (fun ~func ~label -> Printf.eprintf "[trace] %s:%s\n" func label)
           else None
         in
-        let backend =
-          resolve_backend (if reference then `Reference else backend)
-        in
+        let backend = engine.Driver.Config.backend in
         let result =
           stage "measure" (fun () -> Sim.Machine.run ~backend ?on_block prog ~input)
         in
@@ -300,27 +298,16 @@ let run_cmd =
       & info [ "trace" ]
           ~doc:"Print every basic block executed to stderr (control-flow trace).")
   in
-  let reference =
-    Arg.(
-      value & flag
-      & info [ "reference" ]
-          ~doc:
-            "Interpret the MIR directly instead of the fast backends \
-             (shorthand for $(b,--backend=reference)).")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute a MiniC program on the simulator.")
     Term.(
       const run $ source_arg "run" $ heuristic_arg $ input_arg $ trace
-      $ reference $ backend_arg `Compiled $ timings_arg
-      $ native_cache_dir_arg $ no_native_cache_arg)
+      $ engine_term () $ timings_arg)
 
 let reorder_cmd =
   let run source hs train test exhaustive common_succ coalesce profile_layout
-      profile backend timings verify ncache_dir no_ncache =
+      profile engine timings verify =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir no_ncache;
-        let backend = resolve_backend backend in
         let name = source in
         let src = load_source source in
         let training_input, test_input =
@@ -337,15 +324,12 @@ let reorder_cmd =
         in
         let config =
           {
-            Driver.Config.default with
+            engine with
             Driver.Config.heuristic = hs;
             selector = (if exhaustive then `Exhaustive else `Greedy);
             common_succ;
             profile_layout;
             profile;
-            backend;
-            native_cache_dir = ncache_dir;
-            native_cache = not no_ncache;
             verify;
             coalesce_machine =
               (match coalesce with
@@ -433,8 +417,7 @@ let reorder_cmd =
     Term.(
       const run $ source_arg "reorder" $ heuristic_arg $ train $ test
       $ exhaustive $ common_succ $ coalesce $ profile_layout $ profile_arg
-      $ backend_arg `Compiled $ timings_arg $ verify_arg
-      $ native_cache_dir_arg $ no_native_cache_arg)
+      $ engine_term () $ timings_arg $ verify_arg)
 
 (* flags shared by the fault-tolerant commands (suite, fuzz, bench) *)
 let timeout_ms_arg =
@@ -465,25 +448,16 @@ let failures_json_arg =
            flushed incrementally) recording every job's outcome to $(docv).")
 
 let suite_cmd =
-  let run hs jobs backend verify profile names fail_fast timeout_ms retries
-      failures_json inject_n inject_seed no_degrade ncache_dir no_ncache =
+  let run hs jobs engine verify profile names fail_fast timeout_ms retries
+      failures_json inject_n inject_seed no_degrade =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir no_ncache;
         let workloads =
           match names with
           | [] -> Workloads.Registry.all
           | names -> List.map Workloads.Registry.find names
         in
         let config =
-          {
-            Driver.Config.default with
-            Driver.Config.heuristic = hs;
-            backend;
-            native_cache_dir = ncache_dir;
-            native_cache = not no_ncache;
-            verify;
-            profile;
-          }
+          { engine with Driver.Config.heuristic = hs; verify; profile }
         in
         (* force the lazy inputs in this domain before fanning out *)
         let jobs_list =
@@ -705,7 +679,7 @@ let suite_cmd =
           ~doc:
             "Disable backend graceful degradation (by default a job whose \
              attempts crash on the requested backend is retried down the \
-             native > compiled > predecoded > reference ladder; a missing \
+             native > compiled > reference ladder; a missing \
              native toolchain counts as a crash of the native rung).")
   in
   Cmd.v
@@ -717,10 +691,9 @@ let suite_cmd =
           together (see $(b,--fail-fast), $(b,--timeout-ms), $(b,--retries), \
           $(b,--inject)).")
     Term.(
-      const run $ heuristic_arg $ jobs $ backend_arg `Compiled $ verify_arg
-      $ profile_arg $ names $ fail_fast $ timeout_ms_arg $ retries_arg
-      $ failures_json_arg $ inject_n $ inject_seed $ no_degrade
-      $ native_cache_dir_arg $ no_native_cache_arg)
+      const run $ heuristic_arg $ jobs $ engine_term ~degrade:true ()
+      $ verify_arg $ profile_arg $ names $ fail_fast $ timeout_ms_arg
+      $ retries_arg $ failures_json_arg $ inject_n $ inject_seed $ no_degrade)
 
 (* trained/static only: `Both is a pipeline notion (train + backfill);
    the per-case fuzz and corpus harnesses have exactly one counts
@@ -757,7 +730,7 @@ let fuzz_cmd =
     handle_errors (fun () ->
         let backends =
           match (backend, native) with
-          | Some b, _ -> [ (b :> Check.Fuzz.backend) ]
+          | Some b, _ -> [ b ]
           | None, true -> Check.Fuzz.all_backends ()
           | None, false -> Check.Fuzz.default_backends
         in
@@ -859,7 +832,7 @@ let fuzz_cmd =
       & info [ "backend" ] ~docv:"BACKEND"
           ~doc:
             "Restrict differential execution to one engine (default: race \
-             reference, predecoded and compiled against each other).")
+             reference and compiled against each other).")
   in
   let native =
     Arg.(
@@ -1420,20 +1393,10 @@ let snapshot_every_arg =
            $(b,--state-dir)).")
 
 let serve_cmd =
-  let run domains sample_every merge_every drift_min_execs backend profile
-      ncache_dir no_ncache state_dir queue_cap snapshot_every =
+  let run domains sample_every merge_every drift_min_execs engine profile
+      state_dir queue_cap snapshot_every =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir no_ncache;
-        let backend = resolve_backend backend in
-        let config =
-          {
-            Driver.Config.default with
-            Driver.Config.backend;
-            profile;
-            native_cache_dir = ncache_dir;
-            native_cache = not no_ncache;
-          }
-        in
+        let config = { engine with Driver.Config.profile } in
         let srv =
           Driver.Server.create ~config ?domains ~sample_every ~merge_every
             ~drift_min_execs ?state_dir ?queue_cap ~snapshot_every ()
@@ -1487,7 +1450,7 @@ let serve_cmd =
         print_line
           (Printf.sprintf "ready domains=%d backend=%s restored=%d"
              (Driver.Server.domains srv)
-             (Driver.Config.backend_name backend)
+             (Sim.Machine.backend_name config.Driver.Config.backend)
              restored);
         let next_id = ref 0 in
         let quit = ref false in
@@ -1567,9 +1530,8 @@ let serve_cmd =
           optional third argument, a per-request deadline in milliseconds.")
     Term.(
       const run $ domains_arg $ sample_every_arg $ merge_every_arg
-      $ drift_min_execs_arg 32 $ backend_arg `Compiled $ profile_arg
-      $ native_cache_dir_arg $ no_native_cache_arg $ state_dir_arg
-      $ queue_cap_arg $ snapshot_every_arg)
+      $ drift_min_execs_arg 32 $ engine_term () $ profile_arg
+      $ state_dir_arg $ queue_cap_arg $ snapshot_every_arg)
 
 (* ------------------------------------------------------------------ *)
 (* replay: simulated production traffic against a server               *)
@@ -1577,19 +1539,9 @@ let serve_cmd =
 
 let replay_cmd =
   let run requests concurrency workloads seed no_drift sample_every
-      merge_every drift_min_execs check_every json_path quiet backend
-      ncache_dir no_ncache chaos chaos_seed state_dir =
+      merge_every drift_min_execs check_every json_path quiet config chaos
+      chaos_seed state_dir =
     handle_errors (fun () ->
-        apply_native_opts ncache_dir no_ncache;
-        let backend = resolve_backend backend in
-        let config =
-          {
-            Driver.Config.default with
-            Driver.Config.backend;
-            native_cache_dir = ncache_dir;
-            native_cache = not no_ncache;
-          }
-        in
         let workloads =
           Option.map
             (fun s ->
@@ -1756,8 +1708,7 @@ let replay_cmd =
     Term.(
       const run $ requests $ concurrency $ workloads $ seed $ no_drift
       $ sample_every_arg $ merge_every_arg $ drift_min_execs_arg 64
-      $ check_every $ json_path $ quiet $ backend_arg `Compiled
-      $ native_cache_dir_arg $ no_native_cache_arg $ chaos $ chaos_seed
+      $ check_every $ json_path $ quiet $ engine_term () $ chaos $ chaos_seed
       $ state_dir_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -2006,7 +1957,7 @@ let bench_corpus_cmd =
     handle_errors (fun () ->
         let backends =
           match (backend, native) with
-          | Some b, _ -> [ (b :> Check.Fuzz.backend) ]
+          | Some b, _ -> [ b ]
           | None, true -> Check.Fuzz.all_backends ()
           | None, false -> Check.Fuzz.default_backends
         in
@@ -2057,7 +2008,7 @@ let bench_corpus_cmd =
       value
       & opt (some backend_conv) None
       & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"Replay under one engine only (default: race the three \
+          ~doc:"Replay under one engine only (default: race the two \
                 in-process engines).")
   in
   let native =

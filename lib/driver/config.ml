@@ -22,17 +22,11 @@ type t = {
   validate : bool;
   verify : bool;
   fuel : int;
-  backend : [ `Reference | `Predecoded | `Compiled | `Native ];
+  backend : Sim.Machine.backend;
   native_cache_dir : string option;
   native_cache : bool;
   cancel : (unit -> bool) option;
 }
-
-let backend_name = function
-  | `Reference -> "reference"
-  | `Predecoded -> "predecoded"
-  | `Compiled -> "compiled"
-  | `Native -> "native"
 
 let profile_name = function
   | `Trained -> "trained"

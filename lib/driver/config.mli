@@ -45,12 +45,12 @@ type t = {
           later cleanup reshapes the blocks); a rejected rewrite fails
           the pipeline *)
   fuel : int;               (** simulator instruction budget per run *)
-  backend : [ `Reference | `Predecoded | `Compiled | `Native ];
+  backend : Sim.Machine.backend;
       (** execution engine for the training and measurement runs
-          (default [`Compiled]; all four are observably identical, so
+          (default [`Compiled]; all three are observably identical, so
           this only changes wall-clock time — but [`Native] needs a
-          working ocamlfind toolchain and otherwise degrades down the
-          {!Pipeline.run_guarded_job} ladder) *)
+          working ocamlfind toolchain and otherwise degrades down
+          {!Sim.Machine.ladder}) *)
   native_cache_dir : string option;
       (** [.cmxs] artifact store for the native backend ([None] =
           {!Sim.Native.Cache.default_dir}) *)
@@ -64,11 +64,6 @@ type t = {
 }
 
 val default : t
-
-val backend_name :
-  [ `Reference | `Predecoded | `Compiled | `Native ] -> string
-(** Stable machine-readable tag ("reference" / "predecoded" /
-    "compiled" / "native") used in manifests and reports. *)
 
 val profile_name : [ `Trained | `Static | `Both ] -> string
 (** Stable machine-readable tag ("trained" / "static" / "both"). *)

@@ -40,23 +40,14 @@ let sim_config (config : Config.t) =
   }
 
 (* run a program under the configured execution backend; when the caller
-   already holds the pre-decoded image, the fast backends reuse it
-   instead of lowering a second time *)
-let run_backend (config : Config.t) ?profile ?on_branch ?image prog ~input =
-  let sc = sim_config config in
-  match config.Config.backend with
-  | `Reference -> Sim.Machine.run_reference ~config:sc ?profile ?on_branch prog ~input
-  | `Predecoded ->
-    let img = match image with Some i -> i | None -> Sim.Image.build prog in
-    Sim.Machine.run_image ~config:sc ?profile ?on_branch img ~input
-  | `Compiled ->
-    let img = match image with Some i -> i | None -> Sim.Image.build prog in
-    Sim.Compiled.run_image ~config:sc ?profile ?on_branch img ~input
-  | `Native ->
-    let img = match image with Some i -> i | None -> Sim.Image.build prog in
-    Sim.Native.run_image ~config:sc ?profile ?on_branch
-      ?cache_dir:config.Config.native_cache_dir
-      ~use_cache:config.Config.native_cache img ~input
+   already holds the execution image, the image engines reuse it instead
+   of lowering a second time *)
+let run_backend (config : Config.t) ?profile ?on_branch ?sink ?image prog
+    ~input =
+  Sim.Machine.run ~config:(sim_config config) ~backend:config.Config.backend
+    ?profile ?on_branch ?sink ?image
+    ?cache_dir:config.Config.native_cache_dir
+    ~use_cache:config.Config.native_cache prog ~input
 
 (* profile-guided layout: run the training input once more against this
    very binary (layouts need edge frequencies of the final CFG, which
@@ -90,11 +81,11 @@ let apply_profile_layout (config : Config.t) prog ~training_input =
   ignore (Mopt.Profile_layout.run prog tables)
 
 (* measure a finalized program on the test input with all predictors.
-   The predictors live in a prebuilt {!Sim.Predictor.bank}: the compiled
-   backend drives it through its fused sink (no allocation per branch
-   event), the others through a single closure.  Callers measuring
-   several versions can pass one [bank] to reuse across calls — it is
-   reset here. *)
+   The predictors live in a prebuilt {!Sim.Predictor.bank}: the image
+   engines drive it through their fused sinks (no allocation per branch
+   event), the reference interpreter through a single closure.  Callers
+   measuring several versions can pass one [bank] to reuse across
+   calls — it is reset here. *)
 let measure (config : Config.t) ?bank prog ~input =
   let bank =
     match bank with
@@ -103,29 +94,8 @@ let measure (config : Config.t) ?bank prog ~input =
       b
     | None -> Sim.Predictor.bank config.Config.predictors
   in
-  let sc = sim_config config in
   let result =
-    match config.Config.backend with
-    | `Compiled ->
-      Sim.Compiled.exec ~config:sc
-        ~sink:(Sim.Predictor.Sink_bank bank)
-        (Sim.Compiled.compile (Sim.Image.build prog))
-        ~input
-    | `Native ->
-      Sim.Native.run_image ~config:sc
-        ~sink:(Sim.Predictor.Sink_bank bank)
-        ?cache_dir:config.Config.native_cache_dir
-        ~use_cache:config.Config.native_cache (Sim.Image.build prog) ~input
-    | `Predecoded ->
-      Sim.Machine.run_image ~config:sc
-        ~on_branch:(fun ~site ~taken ->
-          Sim.Predictor.bank_access bank ~site ~taken)
-        (Sim.Image.build prog) ~input
-    | `Reference ->
-      Sim.Machine.run_reference ~config:sc
-        ~on_branch:(fun ~site ~taken ->
-          Sim.Predictor.bank_access bank ~site ~taken)
-        prog ~input
+    run_backend config ~sink:(Sim.Predictor.Sink_bank bank) prog ~input
   in
   let mispredicts = Sim.Predictor.bank_mispredicts bank in
   let cycles =
@@ -398,16 +368,6 @@ type job_outcome = {
   o_seconds : float;
 }
 
-let outcome_ladder : Config.t -> _ = fun config ->
-  (* degradation walks from the requested backend down to the reference
-     interpreter — the slowest rung, but the one with the least
-     machinery to go wrong *)
-  match config.Config.backend with
-  | `Native -> [ `Native; `Compiled; `Predecoded; `Reference ]
-  | `Compiled -> [ `Compiled; `Predecoded; `Reference ]
-  | `Predecoded -> [ `Predecoded; `Reference ]
-  | `Reference -> [ `Reference ]
-
 (* defense-in-depth re-check of the pipeline's own invariant, outside
    {!run}: this is what catches a wrong-result fault that corrupted the
    observables after the pipeline's internal comparison passed *)
@@ -424,7 +384,7 @@ let check_observables name r =
 let run_guarded_job ?fault ~index ~policy j =
   let requested = j.job_config.Config.backend in
   let rungs =
-    if policy.Guard.degrade then outcome_ladder j.job_config
+    if policy.Guard.degrade then Sim.Machine.ladder requested
     else [ requested ]
   in
   let injected =
@@ -480,7 +440,7 @@ let run_guarded_job ?fault ~index ~policy j =
       o_outcome = outcome;
       o_attempts = attempts;
       o_retried = attempts - 1;
-      o_backend = Config.backend_name backend;
+      o_backend = Sim.Machine.backend_name backend;
       o_degraded = backend <> requested;
       o_errors = errors;
       o_injected = injected;

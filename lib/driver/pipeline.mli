@@ -76,8 +76,8 @@ val measure :
   version
 (** Measure one finalized program on an input under the configured
     execution backend, driving every configured predictor through a
-    prebuilt {!Sim.Predictor.bank} (the compiled backend's fused sink —
-    no allocation per branch event).  Pass [bank] to reuse one bank
+    prebuilt {!Sim.Predictor.bank} (the image engines' fused sink — no
+    allocation per branch event).  Pass [bank] to reuse one bank
     across several measurements; it is reset on entry. *)
 
 val run :
@@ -137,8 +137,8 @@ val run_jobs : ?domains:int -> job list -> (result * float) list
     per-attempt watchdog deadlines and bounded seeded retries, plus
     backend graceful degradation — a job whose [`Native] attempts crash
     (including {!Sim.Native.Unavailable}: no ocamlfind, codegen or
-    dynlink failure) is retried under [`Compiled], then [`Predecoded]
-    and finally [`Reference], and the divergence is recorded.  Traps
+    dynlink failure) is retried down {!Sim.Machine.ladder}: under
+    [`Compiled], then [`Reference], and the divergence is recorded.  Traps
     and timeouts are final: they are properties of the simulated
     program and the deadline, identical on every backend, so degrading
     cannot help. *)

@@ -262,7 +262,7 @@ let run ?(config = Config.default) ?(workloads = []) ?(requests = 1000)
 
   (* cold baseline: one request per distinct program against a fresh
      single-domain server with empty caches — every request pays
-     parse + detect + train + reorder + predecode + compile *)
+     parse + detect + train + reorder + image build + compile *)
   progress "cold baseline (fresh server per program)";
   let distinct =
     Array.to_list (Array.map (fun (n, s, t) -> (n, s, input_slice ~seed t)) mix)

@@ -518,23 +518,14 @@ let sync t =
 (* Request execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rungs_of (c : Config.t) =
-  match c.Config.backend with
-  | `Native -> [ `Native; `Compiled; `Predecoded; `Reference ]
-  | `Compiled -> [ `Compiled; `Predecoded; `Reference ]
-  | `Predecoded -> [ `Predecoded; `Reference ]
-  | `Reference -> [ `Reference ]
-
 let exec_rung t (art : artifact) backend ~cancel ~input =
   let sc = sim_config ~cancel t in
   match backend with
-  | `Native ->
-    Sim.Native.run_image ~config:sc
-      ?cache_dir:t.config.Config.native_cache_dir
-      ~use_cache:t.config.Config.native_cache art.a_image ~input
   | `Compiled -> Sim.Compiled.exec ~config:sc art.a_compiled ~input
-  | `Predecoded -> Sim.Machine.run_image ~config:sc art.a_image ~input
-  | `Reference -> Sim.Machine.run_reference ~config:sc art.a_served ~input
+  | `Native | `Reference ->
+    Sim.Machine.run ~config:sc ~backend ~image:art.a_image
+      ?cache_dir:t.config.Config.native_cache_dir
+      ~use_cache:t.config.Config.native_cache art.a_served ~input
 
 (* the sampled profiling shadow: run the instrumented training clone on
    this request's input, recording into this worker's private shard and
@@ -600,7 +591,7 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
       rs_status = "crash";
       rs_output = "";
       rs_exit_code = -1;
-      rs_backend = Config.backend_name requested;
+      rs_backend = Sim.Machine.backend_name requested;
       rs_generation = 0;
       rs_cold = !built;
       rs_message = Printexc.to_string e;
@@ -609,7 +600,8 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
   | entry ->
     let art = Atomic.get entry.e_artifact in
     let rungs =
-      if policy.Guard.degrade then rungs_of t.config else [ requested ]
+      if policy.Guard.degrade then Sim.Machine.ladder requested
+      else [ requested ]
     in
     let rec walk rungs =
       match rungs with
@@ -635,7 +627,7 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
           rs_status = "ok";
           rs_output = r.Sim.Machine.output;
           rs_exit_code = r.Sim.Machine.exit_code;
-          rs_backend = Config.backend_name backend;
+          rs_backend = Sim.Machine.backend_name backend;
           rs_generation = art.a_generation;
           rs_cold = !built;
           rs_message = "";
@@ -647,7 +639,7 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
           rs_status = Pool.outcome_status o;
           rs_output = "";
           rs_exit_code = -1;
-          rs_backend = Config.backend_name backend;
+          rs_backend = Sim.Machine.backend_name backend;
           rs_generation = art.a_generation;
           rs_cold = !built;
           rs_message = Pool.outcome_message o;

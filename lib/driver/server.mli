@@ -33,8 +33,8 @@
 
     {b Resilience.}  Every request runs under the PR-5 {!Guard}
     ladder: per-attempt watchdog, bounded seeded retries, and backend
-    degradation native → compiled → predecoded → reference, each rung
-    served from its cached artifact.  One poisoned request cannot take
+    degradation down {!Sim.Machine.ladder} (native → compiled →
+    reference), each rung served from its cached artifact.  One poisoned request cannot take
     the service down.
 
     {b Durability.}  With [state_dir] set, everything the online loop

@@ -38,33 +38,55 @@ type result = Runtime.result = {
   exit_code : int;
 }
 
+type backend = [ `Reference | `Compiled | `Native ]
+(** The execution engines.  [`Reference] walks the MIR directly and is
+    kept as the oracle the others are cross-checked against;
+    [`Compiled] lowers the program through {!Image.build} and compiles
+    each image block to a chain of OCaml closures ({!Compiled});
+    [`Native] generates OCaml source for the image, compiles it out of
+    process and dynlinks the result ({!Native} — raises
+    {!Native.Unavailable} when no toolchain is present, so callers that
+    cannot degrade should check {!Native.available} first).  All three
+    produce identical output, exit codes, counters and branch-site event
+    streams. *)
+
+val backend_name : backend -> string
+(** Stable machine-readable tag ("reference" / "compiled" / "native")
+    used on the command line, in manifests and in reports. *)
+
+val backend_of_name : string -> backend option
+(** Inverse of {!backend_name}; [None] on unknown tags. *)
+
+val ladder : backend -> backend list
+(** The degradation ladder from an engine: the engine itself, then every
+    engine with less machinery to go wrong, ending at [`Reference]
+    (native → compiled → reference). *)
+
 val run :
   ?config:config ->
   ?profile:Profile.t ->
   ?on_branch:(site:int -> taken:bool -> unit) ->
+  ?sink:Predictor.sink ->
   ?on_block:(func:string -> label:string -> unit) ->
-  ?backend:[ `Predecoded | `Reference | `Compiled | `Native ] ->
+  ?image:Image.t ->
+  ?cache_dir:string ->
+  ?use_cache:bool ->
+  ?backend:backend ->
   Mir.Program.t ->
   input:string ->
   result
-(** [run p ~input] executes [p] from [main].  [on_branch] is called for
-    every executed conditional branch with a stable site number (assigned
-    in program order) and the outcome; use it to drive {!Predictor}s.
-    [on_block] is called on entry to every basic block (a control-flow
-    trace).  Raises {!Trap} on runtime errors.
+(** [run p ~input] executes [p] from [main] on [backend] (default
+    [`Compiled]).  [on_branch] is called for every executed conditional
+    branch with a stable site number (assigned in program order) and the
+    outcome; use it to drive {!Predictor}s.  [sink] takes precedence
+    over [on_branch]: [Sink_bank] drives a predictor bank without a
+    closure per event on the image engines.  [on_block] is called on
+    entry to every basic block (a control-flow trace).  Raises {!Trap}
+    on runtime errors.
 
-    [backend] selects the execution engine (default [`Predecoded]):
-    [`Reference] walks the MIR directly and is kept as the oracle the
-    fast paths are cross-checked against; [`Predecoded] lowers the
-    program through {!Image.build} and interprets the label-free,
-    hashtable-free image; [`Compiled] additionally compiles each image
-    block to a chain of OCaml closures ({!Compiled}), eliminating
-    per-instruction dispatch; [`Native] generates OCaml source for the
-    image, compiles it out of process and dynlinks the result
-    ({!Native} — raises {!Native.Unavailable} when no toolchain is
-    present, so callers that cannot degrade should check
-    {!Native.available} first).  All four produce identical output,
-    exit codes, counters and branch-site event streams. *)
+    [image], when given, must be [Image.build p]; the image engines
+    reuse it instead of lowering again.  [cache_dir] and [use_cache]
+    configure the native engine's artifact store (see {!Native.prepare}). *)
 
 val run_reference :
   ?config:config ->
@@ -75,18 +97,6 @@ val run_reference :
   input:string ->
   result
 (** The MIR-walking reference interpreter ([run ~backend:`Reference]). *)
-
-val run_image :
-  ?config:config ->
-  ?profile:Profile.t ->
-  ?on_branch:(site:int -> taken:bool -> unit) ->
-  ?on_block:(func:string -> label:string -> unit) ->
-  Image.t ->
-  input:string ->
-  result
-(** Execute a pre-built {!Image.t}.  Use this to amortize the one-time
-    lowering across repeated runs of the same program (e.g. wall-clock
-    benchmarking); [run p] is [run_image (Image.build p)]. *)
 
 val site_of : Mir.Program.t -> func:string -> label:string -> int
 (** The site number the machine assigns to the branch terminating the

@@ -1,4 +1,4 @@
-(* The native (runtime-codegen) backend: four-way differentials against
+(* The native (runtime-codegen) backend: three-way differentials against
    the reference oracle, the content-hashed artifact store, and the
    degradation path for hosts without a toolchain.
 

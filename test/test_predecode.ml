@@ -1,12 +1,12 @@
 (* Differential tests for the fast execution backends: every program
-   must behave identically under the MIR-walking reference interpreter,
-   the Image-based pre-decoded interpreter AND the closure-compiled
-   backend — same output, exit code, all ten counters, and the same
-   (site, taken) branch event and block trace streams. *)
+   must behave identically under the MIR-walking reference interpreter
+   and the Image-based closure-compiled backend — same output, exit
+   code, all ten counters, and the same (site, taken) branch event and
+   block trace streams. *)
 
 open Helpers
 
-let fast_backends = [ ("predecoded", `Predecoded); ("compiled", `Compiled) ]
+let fast_backends = [ ("compiled", `Compiled) ]
 
 let counter_fields (c : Sim.Counters.t) =
   [
@@ -226,7 +226,7 @@ let prop_differential =
 
 let truncate n s = if String.length s <= n then s else String.sub s 0 n
 
-(* every workload under every heuristic set, all three backends *)
+(* every workload under every heuristic set, both in-process backends *)
 let test_all_workloads () =
   List.iter
     (fun hs ->
@@ -241,17 +241,6 @@ let test_all_workloads () =
           assert_backends_agree ~name prog ~input)
         Workloads.Registry.all)
     Mopt.Switch_lower.all_sets
-
-(* the prebuilt-image entry point must agree with run on a fresh build *)
-let test_run_image_reuse () =
-  let prog = compile_final "int main() { print_int(42); return 3; }" in
-  let image = Sim.Image.build prog in
-  let a = Sim.Machine.run_image image ~input:"" in
-  let b = Sim.Machine.run_image image ~input:"" in
-  let c = Sim.Machine.run prog ~input:"" in
-  check_output "first" c.Sim.Machine.output a.Sim.Machine.output;
-  check_output "second (image reused)" c.Sim.Machine.output b.Sim.Machine.output;
-  check_int "exit" c.Sim.Machine.exit_code b.Sim.Machine.exit_code
 
 (* a compiled program holds no run state: compile once, execute many
    times, each run starts from scratch *)
@@ -316,7 +305,7 @@ let test_bank_equivalence () =
     preds
     (Sim.Predictor.bank_mispredicts bank)
 
-(* Machine.sites/site_of are now derived from the pre-decoded image;
+(* Machine.sites/site_of are derived from the execution image;
    the numbering must round-trip and match the image's own tables *)
 let test_sites_roundtrip () =
   let w = Workloads.Registry.find "sort" in
@@ -333,8 +322,36 @@ let test_sites_roundtrip () =
         (Sim.Machine.site_of prog ~func ~label))
     sites
 
+(* every engine degrades down one ladder, ending at the oracle *)
+let test_ladder () =
+  let full = [ `Native; `Compiled; `Reference ] in
+  let rec suffixes = function [] -> [] | _ :: t as l -> l :: suffixes t in
+  List.iter
+    (fun b ->
+      let name = Sim.Machine.backend_name b in
+      let l = Sim.Machine.ladder b in
+      Alcotest.(check bool) (name ^ ": starts at itself") true (List.hd l = b);
+      Alcotest.(check bool)
+        (name ^ ": ends at reference") true
+        (List.nth l (List.length l - 1) = `Reference);
+      Alcotest.(check bool)
+        (name ^ ": suffix of native > compiled > reference") true
+        (List.mem l (suffixes full));
+      Alcotest.(check (option string))
+        (name ^ ": name round-trips") (Some name)
+        (Option.map Sim.Machine.backend_name
+           (Sim.Machine.backend_of_name name)))
+    full;
+  (* the retired engine and the old aliases no longer parse *)
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is unknown") true
+        (Sim.Machine.backend_of_name name = None))
+    [ "predecoded"; "ref"; "image"; "closure" ]
+
 let suite =
   [
+    case "degradation ladder" test_ladder;
     case "unknown callee traps identically" test_unknown_callee;
     case "unreached unknown callee is harmless" test_unknown_callee_unreached;
     case "unknown label traps identically" test_unknown_label;
@@ -344,7 +361,6 @@ let suite =
     case "too few call arguments" test_too_few_args;
     case "builtin arity mismatch" test_builtin_wrong_arity;
     case "out-of-bounds load" test_out_of_bounds_load;
-    case "image reuse across runs" test_run_image_reuse;
     case "compiled program reuse across runs" test_compiled_reuse;
     case "predictor bank equals closure dispatch" test_bank_equivalence;
     case "site numbering round-trips through the image" test_sites_roundtrip;

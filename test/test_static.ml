@@ -342,7 +342,7 @@ let test_static_workload name =
       p
   in
   Alcotest.(check (list string))
-    "four-backend observables byte-identical" [] out.Check.Fuzz.co_errors;
+    "all-backend observables byte-identical" [] out.Check.Fuzz.co_errors;
   Alcotest.(check bool) "the static profile drove reorderings" true
     (out.Check.Fuzz.co_reordered > 0)
 
