@@ -574,9 +574,11 @@ let ablations () =
               ())
           chosen
       in
-      let results = Driver.Pipeline.run_jobs ~domains:(domains ()) jobs in
+      let results =
+        Driver.Pool.map ~domains:(domains ()) Driver.Pipeline.run_job jobs
+      in
       List.iter
-        (fun ((r : Driver.Pipeline.result), _) ->
+        (fun (r : Driver.Pipeline.result) ->
           let d =
             pct
               r.Driver.Pipeline.r_original.Driver.Pipeline.v_counters

@@ -62,8 +62,9 @@ let load_source path =
 let is_mir_file path =
   String.length path > 4 && String.sub path (String.length path - 4) 4 = ".mir"
 
-(* a source path is either MiniC (compiled) or textual MIR (parsed) *)
-let load_program path hs =
+(* a source path is either MiniC (compiled) or textual MIR (parsed);
+   [raw] stops MiniC at the front end's output *)
+let load_program ?(raw = false) path hs =
   if is_mir_file path then begin
     let prog = Mir.Parse.program (read_file path) in
     Mir.Validate.check prog;
@@ -71,9 +72,11 @@ let load_program path hs =
   end
   else begin
     let prog = Minic.Lower.compile (load_source path) in
-    Mopt.Switch_lower.lower_program hs prog;
-    ignore (Mopt.Cleanup.finalize prog);
-    Mir.Validate.check prog;
+    if not raw then begin
+      Mopt.Switch_lower.lower_program hs prog;
+      ignore (Mopt.Cleanup.finalize prog);
+      Mir.Validate.check prog
+    end;
     prog
   end
 
@@ -101,24 +104,16 @@ let handle_errors f =
   | Not_found ->
     Printf.eprintf "error: no such file or workload\n";
     exit 1
+  | Sys_error msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 1
 
 (* ------------------------------------------------------------------ *)
 
 let compile_cmd =
   let run source hs raw dot =
     handle_errors (fun () ->
-        let prog =
-          if is_mir_file source then Mir.Parse.program (read_file source)
-          else begin
-            let prog = Minic.Lower.compile (load_source source) in
-            if not raw then begin
-              Mopt.Switch_lower.lower_program hs prog;
-              ignore (Mopt.Cleanup.finalize prog);
-              Mir.Validate.check prog
-            end;
-            prog
-          end
-        in
+        let prog = load_program ~raw source hs in
         if dot then Format.printf "%a" (Mir.Dot.program ?annot:None) prog
         else begin
           print_string (Mir.Program.to_string prog);
@@ -331,16 +326,7 @@ let reorder_cmd =
             profile_layout;
             profile;
             verify;
-            coalesce_machine =
-              (match coalesce with
-              | Some "ipc" -> Some Sim.Cycle_model.sparc_ipc
-              | Some "ss20" -> Some Sim.Cycle_model.sparc_20
-              | Some "ultra" -> Some Sim.Cycle_model.sparc_ultra1
-              | Some other ->
-                failwith
-                  (Printf.sprintf "unknown machine %S (use ipc, ss20 or ultra)"
-                     other)
-              | None -> None);
+            coalesce_machine = coalesce;
           }
         in
         let on_stage = if timings then Some report_stage else None in
@@ -397,13 +383,22 @@ let reorder_cmd =
           ~doc:"Also reorder common-successor branch runs (paper Section 10).")
   in
   let coalesce =
+    let machines =
+      [
+        ("ipc", Sim.Cycle_model.sparc_ipc);
+        ("ss20", Sim.Cycle_model.sparc_20);
+        ("ultra", Sim.Cycle_model.sparc_ultra1);
+      ]
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (enum machines)) None
       & info [ "coalesce" ] ~docv:"MACHINE"
           ~doc:
-            "Let the profile choose between reordering and an indirect jump \
-             under this machine's cost model (ipc, ss20 or ultra).")
+            (Printf.sprintf
+               "Let the profile choose between reordering and an indirect \
+                jump under this machine's cost model (%s)."
+               (doc_alts_enum machines)))
   in
   let profile_layout =
     Arg.(
@@ -448,7 +443,7 @@ let failures_json_arg =
            flushed incrementally) recording every job's outcome to $(docv).")
 
 let suite_cmd =
-  let run hs jobs engine verify profile names fail_fast timeout_ms retries
+  let run hs jobs engine verify profile names timeout_ms retries
       failures_json inject_n inject_seed no_degrade =
     handle_errors (fun () ->
         let workloads =
@@ -476,159 +471,131 @@ let suite_cmd =
             | Some j -> j
             | None -> Driver.Pool.default_domains ())
         in
-        if fail_fast && inject_n > 0 then
-          raise
-            (Failure
-               "--fail-fast bypasses the guarded runner; it cannot be \
-                combined with --inject");
-        if fail_fast then begin
-          (* legacy abort-on-first-failure path *)
-          let t0 = Unix.gettimeofday () in
-          let results = Driver.Pipeline.run_jobs ~domains jobs_list in
-          let wall = Unix.gettimeofday () -. t0 in
-          Printf.printf "%-8s %12s %12s %9s %8s\n" "workload" "orig insns"
-            "reord insns" "reduction" "seconds";
-          List.iter
-            (fun ((r : Driver.Pipeline.result), seconds) ->
-              let o = r.Driver.Pipeline.r_original.Driver.Pipeline.v_counters in
-              let n =
+        (* every job runs to a structured outcome; failures cannot
+           abort or disturb siblings *)
+        let policy =
+          {
+            Driver.Guard.default with
+            Driver.Guard.timeout_ms;
+            retries;
+            seed = inject_seed;
+            degrade = not no_degrade;
+          }
+        in
+        let faults =
+          if inject_n > 0 then
+            Driver.Inject.plan ~seed:inject_seed
+              ~jobs:(List.length jobs_list) ~count:inject_n
+          else []
+        in
+        let t0 = Unix.gettimeofday () in
+        let outcomes =
+          Driver.Pipeline.run_jobs_guarded ~domains ~policy ~inject:faults
+            jobs_list
+        in
+        let wall = Unix.gettimeofday () -. t0 in
+        Printf.printf "%-8s %-8s %12s %12s %9s %5s %-10s %8s\n" "workload"
+          "status" "orig insns" "reord insns" "reduction" "tries" "backend"
+          "seconds";
+        List.iter
+          (fun (o : Driver.Pipeline.job_outcome) ->
+            let backend =
+              o.Driver.Pipeline.o_backend
+              ^ if o.Driver.Pipeline.o_degraded then "*" else ""
+            in
+            match o.Driver.Pipeline.o_outcome with
+            | Driver.Pool.Ok r ->
+              let c_o =
+                r.Driver.Pipeline.r_original.Driver.Pipeline.v_counters
+              in
+              let c_n =
                 r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_counters
               in
-              Printf.printf "%-8s %12d %12d %8.2f%% %8.3f\n"
-                r.Driver.Pipeline.r_name o.Sim.Counters.insns
-                n.Sim.Counters.insns
-                (Driver.Pipeline.pct o.Sim.Counters.insns n.Sim.Counters.insns)
-                seconds)
-            results;
-          Printf.printf "total: %.2fs on %d domain(s)\n" wall domains
-        end
-        else begin
-          (* guarded keep-going path: every job runs to a structured
-             outcome, failures cannot abort or disturb siblings *)
-          let policy =
-            {
-              Driver.Guard.default with
-              Driver.Guard.timeout_ms;
-              retries;
-              seed = inject_seed;
-              degrade = not no_degrade;
-            }
+              Printf.printf "%-8s %-8s %12d %12d %8.2f%% %5d %-10s %8.3f\n"
+                o.Driver.Pipeline.o_name "ok" c_o.Sim.Counters.insns
+                c_n.Sim.Counters.insns
+                (Driver.Pipeline.pct c_o.Sim.Counters.insns
+                   c_n.Sim.Counters.insns)
+                o.Driver.Pipeline.o_attempts backend
+                o.Driver.Pipeline.o_seconds
+            | out ->
+              Printf.printf "%-8s %-8s %12s %12s %9s %5d %-10s %8.3f\n"
+                o.Driver.Pipeline.o_name (Driver.Pool.outcome_status out) "-"
+                "-" "-" o.Driver.Pipeline.o_attempts backend
+                o.Driver.Pipeline.o_seconds;
+              Printf.printf "  %s\n" (Driver.Pool.outcome_message out))
+          outcomes;
+        let count p = List.length (List.filter p outcomes) in
+        let is_ok (o : Driver.Pipeline.job_outcome) =
+          Driver.Pool.outcome_ok o.Driver.Pipeline.o_outcome
+        in
+        let failed = count (fun o -> not (is_ok o)) in
+        let retried =
+          count (fun o -> is_ok o && o.Driver.Pipeline.o_retried > 0)
+        in
+        let degraded = count (fun o -> o.Driver.Pipeline.o_degraded) in
+        Printf.printf
+          "total: %.2fs on %d domain(s); %d ok (%d retried, %d degraded), \
+           %d failed\n"
+          wall domains
+          (count is_ok)
+          retried degraded failed;
+        (match failures_json with
+        | Some path ->
+          Driver.Manifest.write path
+            (List.map Driver.Pipeline.manifest_of_outcome outcomes);
+          Printf.eprintf "failure manifest written to %s\n" path
+        | None -> ());
+        if faults <> [] then begin
+          (* containment certification: every planted fault must have
+             bitten and been either recovered or attributed; no
+             non-victim job may fail *)
+          let escapes =
+            List.filter_map
+              (fun (f : Driver.Inject.fault) ->
+                let o = List.nth outcomes f.Driver.Inject.i_job in
+                if
+                  is_ok o
+                  && o.Driver.Pipeline.o_retried = 0
+                  && not o.Driver.Pipeline.o_degraded
+                then
+                  Some
+                    (Format.asprintf "%a: fault left no trace (escape)"
+                       Driver.Inject.pp_fault f)
+                else None)
+              faults
           in
-          let faults =
-            if inject_n > 0 then
-              Driver.Inject.plan ~seed:inject_seed
-                ~jobs:(List.length jobs_list) ~count:inject_n
-            else []
+          let collateral =
+            List.filter_map
+              (fun (o : Driver.Pipeline.job_outcome) ->
+                if o.Driver.Pipeline.o_injected = "" && not (is_ok o) then
+                  Some
+                    (Printf.sprintf "job %d (%s) failed without a fault: %s"
+                       o.Driver.Pipeline.o_index o.Driver.Pipeline.o_name
+                       (Driver.Pool.outcome_message
+                          o.Driver.Pipeline.o_outcome))
+                else None)
+              outcomes
           in
-          let t0 = Unix.gettimeofday () in
-          let outcomes =
-            Driver.Pipeline.run_jobs_guarded ~domains ~policy ~inject:faults
-              jobs_list
-          in
-          let wall = Unix.gettimeofday () -. t0 in
-          Printf.printf "%-8s %-8s %12s %12s %9s %5s %-10s %8s\n" "workload"
-            "status" "orig insns" "reord insns" "reduction" "tries" "backend"
-            "seconds";
-          List.iter
-            (fun (o : Driver.Pipeline.job_outcome) ->
-              let backend =
-                o.Driver.Pipeline.o_backend
-                ^ if o.Driver.Pipeline.o_degraded then "*" else ""
-              in
-              match o.Driver.Pipeline.o_outcome with
-              | Driver.Pool.Ok r ->
-                let c_o =
-                  r.Driver.Pipeline.r_original.Driver.Pipeline.v_counters
-                in
-                let c_n =
-                  r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_counters
-                in
-                Printf.printf "%-8s %-8s %12d %12d %8.2f%% %5d %-10s %8.3f\n"
-                  o.Driver.Pipeline.o_name "ok" c_o.Sim.Counters.insns
-                  c_n.Sim.Counters.insns
-                  (Driver.Pipeline.pct c_o.Sim.Counters.insns
-                     c_n.Sim.Counters.insns)
-                  o.Driver.Pipeline.o_attempts backend
-                  o.Driver.Pipeline.o_seconds
-              | out ->
-                Printf.printf "%-8s %-8s %12s %12s %9s %5d %-10s %8.3f\n"
-                  o.Driver.Pipeline.o_name (Driver.Pool.outcome_status out) "-"
-                  "-" "-" o.Driver.Pipeline.o_attempts backend
-                  o.Driver.Pipeline.o_seconds;
-                Printf.printf "  %s\n" (Driver.Pool.outcome_message out))
-            outcomes;
-          let count p = List.length (List.filter p outcomes) in
-          let is_ok (o : Driver.Pipeline.job_outcome) =
-            Driver.Pool.outcome_ok o.Driver.Pipeline.o_outcome
-          in
-          let failed = count (fun o -> not (is_ok o)) in
-          let retried =
-            count (fun o -> is_ok o && o.Driver.Pipeline.o_retried > 0)
-          in
-          let degraded = count (fun o -> o.Driver.Pipeline.o_degraded) in
           Printf.printf
-            "total: %.2fs on %d domain(s); %d ok (%d retried, %d degraded), \
-             %d failed\n"
-            wall domains
-            (count is_ok)
-            retried degraded failed;
-          (match failures_json with
-          | Some path ->
-            Driver.Manifest.write path
-              (List.map Driver.Pipeline.manifest_of_outcome outcomes);
-            Printf.eprintf "failure manifest written to %s\n" path
-          | None -> ());
-          if faults <> [] then begin
-            (* containment certification: every planted fault must have
-               bitten and been either recovered or attributed; no
-               non-victim job may fail *)
-            let escapes =
-              List.filter_map
-                (fun (f : Driver.Inject.fault) ->
-                  let o = List.nth outcomes f.Driver.Inject.i_job in
-                  if
-                    is_ok o
-                    && o.Driver.Pipeline.o_retried = 0
-                    && not o.Driver.Pipeline.o_degraded
-                  then
-                    Some
-                      (Format.asprintf "%a: fault left no trace (escape)"
-                         Driver.Inject.pp_fault f)
-                  else None)
-                faults
-            in
-            let collateral =
-              List.filter_map
-                (fun (o : Driver.Pipeline.job_outcome) ->
-                  if o.Driver.Pipeline.o_injected = "" && not (is_ok o) then
-                    Some
-                      (Printf.sprintf "job %d (%s) failed without a fault: %s"
-                         o.Driver.Pipeline.o_index o.Driver.Pipeline.o_name
-                         (Driver.Pool.outcome_message
-                            o.Driver.Pipeline.o_outcome))
-                  else None)
-                outcomes
-            in
-            Printf.printf
-              "injection: %d faults planted, %d recovered, %d contained \
-               failures, %d escapes, %d collateral\n"
-              (List.length faults)
-              (List.length
-                 (List.filter
-                    (fun (f : Driver.Inject.fault) ->
-                      is_ok (List.nth outcomes f.Driver.Inject.i_job))
-                    faults))
-              (List.length
-                 (List.filter
-                    (fun (f : Driver.Inject.fault) ->
-                      not (is_ok (List.nth outcomes f.Driver.Inject.i_job)))
-                    faults))
-              (List.length escapes) (List.length collateral);
-            List.iter (Printf.eprintf "error: %s\n") (escapes @ collateral);
-            if escapes <> [] || collateral <> [] then exit 1
-          end
-          else if failed > 0 then exit 1
-        end)
+            "injection: %d faults planted, %d recovered, %d contained \
+             failures, %d escapes, %d collateral\n"
+            (List.length faults)
+            (List.length
+               (List.filter
+                  (fun (f : Driver.Inject.fault) ->
+                    is_ok (List.nth outcomes f.Driver.Inject.i_job))
+                  faults))
+            (List.length
+               (List.filter
+                  (fun (f : Driver.Inject.fault) ->
+                    not (is_ok (List.nth outcomes f.Driver.Inject.i_job)))
+                  faults))
+            (List.length escapes) (List.length collateral);
+          List.iter (Printf.eprintf "error: %s\n") (escapes @ collateral);
+          if escapes <> [] || collateral <> [] then exit 1
+        end
+        else if failed > 0 then exit 1)
   in
   let jobs =
     Arg.(
@@ -644,15 +611,6 @@ let suite_cmd =
       value & pos_all string []
       & info [] ~docv:"WORKLOAD"
           ~doc:"Workloads to run (default: all built-ins).")
-  in
-  let fail_fast =
-    Arg.(
-      value & flag
-      & info [ "fail-fast" ]
-          ~doc:
-            "Abort the whole suite on the first failing workload (legacy \
-             behaviour).  The default keeps going: every workload runs to a \
-             structured outcome and failures are reported together.")
   in
   let inject_n =
     Arg.(
@@ -688,21 +646,20 @@ let suite_cmd =
          "Run the reordering pipeline over many workloads in parallel and \
           print the per-workload instruction reductions.  Jobs are guarded: \
           crashes, traps and timeouts are contained per job and reported \
-          together (see $(b,--fail-fast), $(b,--timeout-ms), $(b,--retries), \
-          $(b,--inject)).")
+          together (see $(b,--timeout-ms), $(b,--retries), $(b,--inject)).")
     Term.(
       const run $ heuristic_arg $ jobs $ engine_term ~degrade:true ()
-      $ verify_arg $ profile_arg $ names $ fail_fast $ timeout_ms_arg
+      $ verify_arg $ profile_arg $ names $ timeout_ms_arg
       $ retries_arg $ failures_json_arg $ inject_n $ inject_seed $ no_degrade)
 
 (* trained/static only: `Both is a pipeline notion (train + backfill);
    the per-case fuzz and corpus harnesses have exactly one counts
    source *)
 let profile2_conv =
-  let parse = function
-    | "trained" -> Ok `Trained
-    | "static" -> Ok `Static
-    | s ->
+  let parse s =
+    match Driver.Config.profile_of_name s with
+    | Some ((`Trained | `Static) as p) -> Ok p
+    | Some `Both | None ->
       Error
         (`Msg
           (Printf.sprintf "unknown profile source %S (use trained or static)"
@@ -710,7 +667,7 @@ let profile2_conv =
   in
   let print ppf p =
     Format.pp_print_string ppf
-      (match p with `Trained -> "trained" | `Static -> "static")
+      (Driver.Config.profile_name (p :> [ `Trained | `Static | `Both ]))
   in
   Arg.conv (parse, print)
 

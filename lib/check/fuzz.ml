@@ -74,13 +74,17 @@ let pp_stats ppf st =
    [~verify] option built on this library), so the fuzzer assembles the
    same stages directly at the MIR level. *)
 
-let build spec =
-  let p = Gen.to_program spec in
+(* lower, clean up and validate a program that may still contain
+   [Switch] terminators, in place *)
+let build_program ~heuristic p =
   Mir.Validate.check ~allow_switch:true p;
-  Mopt.Switch_lower.lower_program (Gen.heuristic_of_spec spec) p;
+  Mopt.Switch_lower.lower_program heuristic p;
   Mopt.Cleanup.run p;
   Mir.Validate.check p;
   p
+
+let build spec =
+  build_program ~heuristic:(Gen.heuristic_of_spec spec) (Gen.to_program spec)
 
 (* alternate the coalescing decision so the verifier's jump-table path is
    exercised too *)
@@ -385,13 +389,19 @@ let count_outcomes (report : Pass.report) =
       | Pass.Unchanged _ -> (r, c, u + 1))
     (0, 0, 0) report.Pass.seq_reports
 
-let run_case ?config ?profile ~backends ~inject ~case spec =
+let no_outcome =
+  { co_errors = []; co_reordered = 0; co_coalesced = 0; co_unchanged = 0;
+    co_pieces = 0; co_injected = false; co_caught = false; co_blocks = None;
+    co_lint_diags = 0 }
+
+(* everything after the transform, shared by generated cases and saved
+   programs: (optionally) plant a bug, certify, cross-check lint against
+   traces, finalize both versions exactly like the pipeline, then race
+   the backends.  A failure or a trap while transforming fails the
+   case *)
+let check_transformed ?config ~backends ~inject ~train ~test transform =
   try
-    let base, reord, report =
-      transform
-        ?coalesce_machine:(coalesce_machine_for case)
-        ?config ?profile ~facts:(case_facts case) spec
-    in
+    let base, reord, report = transform () in
     let injected =
       if inject then inject_wrong_default ~before:base ~after:reord report
       else None
@@ -404,17 +414,9 @@ let run_case ?config ?profile ~backends ~inject ~case spec =
         0 summary.Verify.seq_results
     in
     let out =
-      {
-        co_errors = [];
-        co_reordered = reo;
-        co_coalesced = coa;
-        co_unchanged = unc;
-        co_pieces = pieces;
-        co_injected = injected <> None;
-        co_caught = false;
-        co_blocks = None;
-        co_lint_diags = 0;
-      }
+      { no_outcome with co_reordered = reo; co_coalesced = coa;
+                        co_unchanged = unc; co_pieces = pieces;
+                        co_injected = injected <> None }
     in
     match injected with
     | Some (_fname, blocks) ->
@@ -431,32 +433,29 @@ let run_case ?config ?profile ~backends ~inject ~case spec =
         { out with co_errors = Verify.all_errors summary }
       else begin
         let lint_errors, lint_diags =
-          lint_cross_errors ?config base
-            ~inputs:[ spec.Gen.sp_train; spec.Gen.sp_test ]
+          lint_cross_errors ?config base ~inputs:[ train; test ]
         in
-        (* finalize both versions exactly like the pipeline, then race the
-           backends *)
         let orig = Mir.Clone.program base in
         ignore (Mopt.Cleanup.finalize orig);
         ignore (Mopt.Cleanup.finalize reord);
         Mir.Validate.check orig;
         Mir.Validate.check reord;
         let errors =
-          differential_errors ?config backends ~orig ~reord
-            ~input:spec.Gen.sp_test
+          differential_errors ?config backends ~orig ~reord ~input:test
         in
         { out with co_errors = lint_errors @ errors; co_lint_diags = lint_diags }
       end
   with
-  | Failure m -> { co_errors = [ "exception: " ^ m ];
-                   co_reordered = 0; co_coalesced = 0; co_unchanged = 0;
-                   co_pieces = 0; co_injected = false; co_caught = false;
-                   co_blocks = None; co_lint_diags = 0 }
+  | Failure m -> { no_outcome with co_errors = [ "exception: " ^ m ] }
   | Sim.Machine.Trap m ->
-    { co_errors = [ "trap during training: " ^ m ];
-      co_reordered = 0; co_coalesced = 0; co_unchanged = 0; co_pieces = 0;
-      co_injected = false; co_caught = false; co_blocks = None;
-      co_lint_diags = 0 }
+    { no_outcome with co_errors = [ "trap during training: " ^ m ] }
+
+let run_case ?config ?profile ~backends ~inject ~case spec =
+  check_transformed ?config ~backends ~inject ~train:spec.Gen.sp_train
+    ~test:spec.Gen.sp_test (fun () ->
+      transform
+        ?coalesce_machine:(coalesce_machine_for case)
+        ?config ?profile ~facts:(case_facts case) spec)
 
 let spec_of_case ~seed ~case = Gen.spec_of_seed ((seed * 1_000_003) + case)
 
@@ -480,54 +479,12 @@ let all_backends () : Sim.Machine.backend list =
    terminators; it is cloned first, so the caller's copy survives. *)
 let run_program ?config ?(backends = default_backends) ?(facts = true)
     ?(coalesce = false) ?profile ~heuristic ~train ~test prog =
-  let empty =
-    { co_errors = []; co_reordered = 0; co_coalesced = 0; co_unchanged = 0;
-      co_pieces = 0; co_injected = false; co_caught = false; co_blocks = None;
-      co_lint_diags = 0 }
-  in
-  try
-    let built = Mir.Clone.program prog in
-    Mir.Validate.check ~allow_switch:true built;
-    Mopt.Switch_lower.lower_program heuristic built;
-    Mopt.Cleanup.run built;
-    Mir.Validate.check built;
-    let base, reord, report =
+  check_transformed ?config ~backends ~inject:false ~train ~test (fun () ->
       transform_built
         ?coalesce_machine:
           (if coalesce then Some Sim.Cycle_model.sparc_ipc else None)
-        ?config ?profile ~facts ~train built
-    in
-    let summary = Verify.certify_report ~before:base ~after:reord report in
-    let reo, coa, unc = count_outcomes report in
-    let pieces =
-      List.fold_left
-        (fun acc r -> acc + r.Verify.v_pieces)
-        0 summary.Verify.seq_results
-    in
-    let out =
-      { empty with co_reordered = reo; co_coalesced = coa; co_unchanged = unc;
-                   co_pieces = pieces }
-    in
-    if not (Verify.ok summary) then
-      { out with co_errors = Verify.all_errors summary }
-    else begin
-      let lint_errors, lint_diags =
-        lint_cross_errors ?config base ~inputs:[ train; test ]
-      in
-      let orig = Mir.Clone.program base in
-      ignore (Mopt.Cleanup.finalize orig);
-      ignore (Mopt.Cleanup.finalize reord);
-      Mir.Validate.check orig;
-      Mir.Validate.check reord;
-      let errors =
-        differential_errors ?config backends ~orig ~reord ~input:test
-      in
-      { out with co_errors = lint_errors @ errors; co_lint_diags = lint_diags }
-    end
-  with
-  | Failure m -> { empty with co_errors = [ "exception: " ^ m ] }
-  | Sim.Machine.Trap m ->
-    { empty with co_errors = [ "trap during training: " ^ m ] }
+        ?config ?profile ~facts ~train
+        (build_program ~heuristic (Mir.Clone.program prog)))
 
 (* ------------------------------------------------------------------ *)
 (* The driver loop                                                      *)

@@ -84,3 +84,38 @@ let protect ?(index = 0) policy job =
       end
   in
   go 1 []
+
+type 'a landing = {
+  l_backend : Sim.Machine.backend;
+  l_outcome : 'a Pool.outcome;
+  l_degraded : bool;
+  l_attempts : int;
+  l_errors : string list;
+}
+
+let walk_ladder ~index policy requested job =
+  let rec walk rungs attempts errors =
+    match rungs with
+    | [] -> assert false
+    | backend :: rest -> (
+      let outcome, meta = protect ~index policy (job backend) in
+      let attempts = attempts + meta.m_attempts in
+      let errors = errors @ meta.m_errors in
+      match outcome with
+      | (Pool.Crash _ | Pool.Gave_up _) when rest <> [] ->
+        walk rest attempts errors
+      | _ ->
+        (* traps and timeouts are properties of the simulated program
+           and the deadline, identical on every backend: degrading
+           cannot help, so they are final *)
+        {
+          l_backend = backend;
+          l_outcome = outcome;
+          l_degraded = backend <> requested;
+          l_attempts = attempts;
+          l_errors = errors;
+        })
+  in
+  walk
+    (if policy.degrade then Sim.Machine.ladder requested else [ requested ])
+    0 []

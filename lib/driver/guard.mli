@@ -11,10 +11,11 @@
       seeded exponential backoff, then [Crash] (no retries configured)
       or [Gave_up] (retries exhausted)
 
-    Backend degradation (the [degrade] field) is interpreted one level
-    up, by {!Pipeline.run_jobs_guarded}, which walks the execution
-    backends from the requested one down to the reference interpreter
-    and calls {!protect} once per rung. *)
+    Backend degradation (the [degrade] field) is {!walk_ladder}: it
+    walks the execution backends from the requested one down to the
+    reference interpreter and calls {!protect} once per rung.  It is the
+    one ladder walk, serving both batch jobs
+    ({!Pipeline.run_guarded_job}) and daemon requests ({!Server}). *)
 
 type policy = {
   timeout_ms : int option;
@@ -24,7 +25,7 @@ type policy = {
                           seeded jitter of up to one unit; [0] = none *)
   seed : int;         (** jitter seed — retry schedules are reproducible *)
   degrade : bool;     (** walk the backend ladder on failure
-                          ({!Pipeline.run_jobs_guarded}) *)
+                          ({!walk_ladder}) *)
 }
 
 val default : policy
@@ -51,3 +52,24 @@ val protect :
     failures.  The job receives the attempt number (1-based) and a fresh
     cancellation flag to thread into {!Sim.Runtime.config.cancel};
     [index] only seeds the backoff jitter. *)
+
+type 'a landing = {
+  l_backend : Sim.Machine.backend;  (** the rung that gave [l_outcome] *)
+  l_outcome : 'a Pool.outcome;
+  l_degraded : bool;  (** [l_backend] is below the requested rung *)
+  l_attempts : int;  (** attempts summed over every rung tried *)
+  l_errors : string list;  (** every rung's failed attempts, oldest first *)
+}
+
+val walk_ladder :
+  index:int ->
+  policy ->
+  Sim.Machine.backend ->
+  (Sim.Machine.backend -> attempt:int -> cancel:(unit -> bool) option -> 'a) ->
+  'a landing
+(** [walk_ladder ~index policy requested job] runs [job backend] under
+    {!protect} on each rung of {!Sim.Machine.ladder}[ requested] in
+    turn ([requested] alone when [policy.degrade] is off).  [Ok], [Trap]
+    and [Timeout] are final; [Crash] and [Gave_up] step down one rung
+    until the ladder runs out.  The job closure sees the rung it runs
+    on, so callers arm faults or pick artifacts per rung there. *)

@@ -141,13 +141,22 @@ let detect_seqs (config : Config.t) base =
     Reorder.Detect.find_program ~facts:config.Config.analysis_facts base
   else []
 
-let instrument (config : Config.t) base seqs =
+(* a clone of the base with profiling pseudo-instructions at every
+   sequence head and every common-successor run and pair head *)
+let instrument_all (config : Config.t) base seqs combs pairs =
   let train_prog = Mir.Clone.program base in
   let table = Reorder.Profiles.instrument train_prog seqs in
+  Reorder.Common_succ.instrument train_prog combs table;
+  Reorder.Common_succ.instrument_pairs train_prog pairs table;
   if config.Config.validate then Mir.Validate.check train_prog;
   (train_prog, table)
 
-let reoptimize (config : Config.t) ~name base seqs table =
+let instrument config base seqs = instrument_all config base seqs [] []
+
+(* pass 2 proper: reorder a clone of the base under [table].  Translation
+   validation must look at the pass's output before the common-successor
+   rewrites and cleanup reshape the blocks, so it happens here *)
+let reorder_and_certify (config : Config.t) ~name base seqs table =
   let reord = Mir.Clone.program base in
   let report =
     Reorder.Pass.run ~options:config.Config.apply_options
@@ -155,17 +164,29 @@ let reoptimize (config : Config.t) ~name base seqs table =
       ~keep_original_default:config.Config.keep_original_default
       ?coalesce_machine:config.Config.coalesce_machine reord seqs table
   in
-  if config.Config.verify then begin
-    let summary = Check.Verify.certify_report ~before:base ~after:reord report in
-    if not (Check.Verify.ok summary) then
-      failwith
-        (Printf.sprintf "%s: translation validation failed:\n  %s" name
-           (String.concat "\n  " (Check.Verify.all_errors summary)))
-  end;
+  let verify =
+    if config.Config.verify then begin
+      let summary = Check.Verify.certify_report ~before:base ~after:reord report in
+      if not (Check.Verify.ok summary) then
+        failwith
+          (Printf.sprintf "%s: translation validation failed:\n  %s" name
+             (String.concat "\n  " (Check.Verify.all_errors summary)));
+      Some summary
+    end
+    else None
+  in
+  (reord, report, verify)
+
+(* cleanup reinvocation and delay-slot filling, then validation *)
+let finalize_without_layout (config : Config.t) prog =
   ignore
     (Mopt.Cleanup.finalize ~steal_delay_slots:config.Config.delay_fill_from_target
-       reord);
-  if config.Config.validate then Mir.Validate.check reord;
+       prog);
+  if config.Config.validate then Mir.Validate.check prog
+
+let reoptimize config ~name base seqs table =
+  let reord, report, _verify = reorder_and_certify config ~name base seqs table in
+  finalize_without_layout config reord;
   (reord, report)
 
 let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
@@ -218,11 +239,7 @@ let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
           (* no training run at all: synthesize the counts from the CFG *)
           Reorder.Profiles.of_static base seqs
         | (`Trained | `Both) as mode ->
-          let train_prog = Mir.Clone.program base in
-          let table = Reorder.Profiles.instrument train_prog seqs in
-          Reorder.Common_succ.instrument train_prog combs table;
-          Reorder.Common_succ.instrument_pairs train_prog pairs table;
-          if config.Config.validate then Mir.Validate.check train_prog;
+          let train_prog, table = instrument_all config base seqs combs pairs in
           let _ =
             run_backend config ~profile:table train_prog ~input:training_input
           in
@@ -239,42 +256,21 @@ let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
       Reorder.Profiles.strip prog;
       apply_profile_layout config prog ~training_input;
       ignore
-        (Mopt.Delay_slot.run ~steal:config.Config.delay_fill_from_target prog)
+        (Mopt.Delay_slot.run ~steal:config.Config.delay_fill_from_target prog);
+      if config.Config.validate then Mir.Validate.check prog
     end
-    else
-      ignore
-        (Mopt.Cleanup.finalize
-           ~steal_delay_slots:config.Config.delay_fill_from_target prog)
+    else finalize_without_layout config prog
   in
 
-  (* pass 2: reorder a clone of the base *)
-  let reord = Mir.Clone.program base in
-  let report, verify, comb_outcomes, pair_outcomes =
+  (* pass 2: reorder a clone of the base, then the within-run
+     permutations (they re-emit each run's edges from the run record),
+     then super-branch pair swaps, which relink those edges between the
+     groups *)
+  let reord, report, verify, comb_outcomes, pair_outcomes =
     stage "reorder" (fun () ->
-        let report =
-          Reorder.Pass.run ~options:config.Config.apply_options
-            ~selector:config.Config.selector
-            ~keep_original_default:config.Config.keep_original_default
-            ?coalesce_machine:config.Config.coalesce_machine reord seqs table
+        let reord, report, verify =
+          reorder_and_certify config ~name base seqs table
         in
-        (* translation validation must look at the pass's output before
-           the common-successor rewrites and cleanup reshape the blocks *)
-        let verify =
-          if config.Config.verify then begin
-            let summary =
-              Check.Verify.certify_report ~before:base ~after:reord report
-            in
-            if not (Check.Verify.ok summary) then
-              failwith
-                (Printf.sprintf "%s: translation validation failed:\n  %s" name
-                   (String.concat "\n  " (Check.Verify.all_errors summary)));
-            Some summary
-          end
-          else None
-        in
-        (* within-run permutations first (they re-emit each run's edges from
-           the run record), then super-branch pair swaps, which relink those
-           edges between the groups *)
         let comb_outcomes =
           List.map (fun r -> (r, Reorder.Common_succ.apply reord table r)) combs
         in
@@ -283,7 +279,7 @@ let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
             (fun pr -> (pr, Reorder.Common_succ.apply_pair reord table pr))
             pairs
         in
-        (report, verify, comb_outcomes, pair_outcomes))
+        (reord, report, verify, comb_outcomes, pair_outcomes))
   in
 
   (* cleanup + finalization of both versions (the original is finalized
@@ -291,9 +287,7 @@ let run ?(config = Config.default) ?on_stage ~name ~source ~training_input
   let orig = Mir.Clone.program base in
   stage "cleanup" (fun () ->
       finalize orig;
-      if config.Config.validate then Mir.Validate.check orig;
-      finalize reord;
-      if config.Config.validate then Mir.Validate.check reord);
+      finalize reord);
 
   let original, reordered =
     stage "measure" (fun () ->
@@ -347,8 +341,6 @@ let run_job j =
   run ~config:j.job_config ~name:j.job_name ~source:j.job_source
     ~training_input:j.job_training_input ~test_input:j.job_test_input ()
 
-let run_jobs ?domains jobs = Pool.timed_map ?domains run_job jobs
-
 (* ------------------------------------------------------------------ *)
 (* Guarded execution: watchdogs, retries, backend degradation          *)
 (* ------------------------------------------------------------------ *)
@@ -383,17 +375,16 @@ let check_observables name r =
 
 let run_guarded_job ?fault ~index ~policy j =
   let requested = j.job_config.Config.backend in
-  let rungs =
-    if policy.Guard.degrade then Sim.Machine.ladder requested
-    else [ requested ]
-  in
   let injected =
     match fault with
     | Some (f : Inject.fault) -> Inject.kind_name f.Inject.i_kind
     | None -> ""
   in
   let t0 = Unix.gettimeofday () in
-  let attempt_job ~backend ~armed ~attempt ~cancel =
+  let attempt_job backend ~attempt ~cancel =
+    (* faults are armed only against the requested backend, so the
+       degradation ladder has a real recovery path *)
+    let armed = if backend = requested then fault else None in
     let config = { j.job_config with Config.backend; Config.cancel = cancel } in
     let config =
       match armed with
@@ -414,10 +405,7 @@ let run_guarded_job ?fault ~index ~policy j =
           { config with Config.cancel = Some (fun () -> true) }
         | Inject.Corrupt -> config)
     in
-    let r =
-      run ~config ~name:j.job_name ~source:j.job_source
-        ~training_input:j.job_training_input ~test_input:j.job_test_input ()
-    in
+    let r = run_job { j with job_config = config } in
     let r =
       match armed with
       | Some { Inject.i_kind = Inject.Corrupt; _ } ->
@@ -433,44 +421,19 @@ let run_guarded_job ?fault ~index ~policy j =
     in
     check_observables j.job_name r
   in
-  let finish backend outcome attempts errors =
-    {
-      o_index = index;
-      o_name = j.job_name;
-      o_outcome = outcome;
-      o_attempts = attempts;
-      o_retried = attempts - 1;
-      o_backend = Sim.Machine.backend_name backend;
-      o_degraded = backend <> requested;
-      o_errors = errors;
-      o_injected = injected;
-      o_seconds = Unix.gettimeofday () -. t0;
-    }
-  in
-  let rec walk rungs attempts errors =
-    match rungs with
-    | [] -> assert false
-    | backend :: rest -> (
-      (* faults are armed only against the requested backend, so the
-         degradation ladder has a real recovery path *)
-      let armed = if backend = requested then fault else None in
-      let outcome, meta =
-        Guard.protect ~index policy (fun ~attempt ~cancel ->
-            attempt_job ~backend ~armed ~attempt ~cancel)
-      in
-      let attempts = attempts + meta.Guard.m_attempts in
-      let errors = errors @ meta.Guard.m_errors in
-      match outcome with
-      | Pool.Ok _ | Pool.Trap _ | Pool.Timeout _ ->
-        (* traps and timeouts are properties of the simulated program
-           and the deadline, identical on every backend: degrading
-           cannot help, so they are final *)
-        finish backend outcome attempts errors
-      | Pool.Crash _ | Pool.Gave_up _ ->
-        if rest = [] then finish backend outcome attempts errors
-        else walk rest attempts errors)
-  in
-  walk rungs 0 []
+  let l = Guard.walk_ladder ~index policy requested attempt_job in
+  {
+    o_index = index;
+    o_name = j.job_name;
+    o_outcome = l.Guard.l_outcome;
+    o_attempts = l.Guard.l_attempts;
+    o_retried = l.Guard.l_attempts - 1;
+    o_backend = Sim.Machine.backend_name l.Guard.l_backend;
+    o_degraded = l.Guard.l_degraded;
+    o_errors = l.Guard.l_errors;
+    o_injected = injected;
+    o_seconds = Unix.gettimeofday () -. t0;
+  }
 
 let run_jobs_guarded ?domains ?(policy = Guard.default) ?(inject = []) jobs =
   let indexed = List.mapi (fun i j -> (i, j)) jobs in

@@ -48,7 +48,13 @@ val compile_base : Config.t -> string -> Mir.Program.t
     content hash and re-runs later stages alone — re-optimizing a
     program against merged live profiles must not re-parse or
     re-detect — so the batch pipeline's stages are also exposed one at
-    a time.  {!run} is built from the same pieces. *)
+    a time.  {!run} is built from the same pieces: it calls
+    {!instrument}'s clone-instrument-validate step and {!reoptimize}'s
+    reorder-and-certify step, so serving re-optimization is exactly
+    batch pass 2. *)
+
+val sim_config : Config.t -> Sim.Machine.config
+(** The simulator limits ([fuel], [cancel]) a {!Config.t} asks for. *)
 
 val detect_seqs : Config.t -> Mir.Program.t -> Reorder.Detect.t list
 (** Sequence detection on an optimized base ([] when reordering is
@@ -68,8 +74,9 @@ val reoptimize :
     (translation-validating when {!Config.t.verify} is set), finalize
     (cleanup + delay slots) and validate.  Returns the servable program
     and the pass report.  Unlike {!run} this performs no training run,
-    no measurement, and no common-successor rewrites: it is the
-    re-optimization step of a daemon that already owns live profiles. *)
+    no measurement, no common-successor rewrites and no profile layout:
+    it is the re-optimization step of a daemon that already owns live
+    profiles. *)
 
 val measure :
   Config.t -> ?bank:Sim.Predictor.bank -> Mir.Program.t -> input:string ->
@@ -101,8 +108,8 @@ val pct : int -> int -> float
     A [job] is a self-contained, pure description of one pipeline run:
     inputs are plain strings (force lazies before building jobs) and the
     pipeline touches no global mutable state, so jobs can execute on any
-    domain.  [run_jobs] fans them out over a bounded {!Pool} and returns
-    results in job order with per-job wall-clock seconds. *)
+    domain.  Fan them out with [Pool.map run_job] or, contained,
+    {!run_jobs_guarded}. *)
 
 type job = {
   job_name : string;
@@ -124,12 +131,6 @@ val job :
 val run_job : job -> result
 (** [run_job j] is {!run} on [j]'s fields, in the calling domain. *)
 
-val run_jobs : ?domains:int -> job list -> (result * float) list
-(** Deterministic: results are in job order whatever the schedule;
-    [domains] defaults to {!Pool.default_domains}.  Fail-fast: the first
-    failing job aborts the whole batch with {!Pool.Job_error} — use
-    {!run_jobs_guarded} to keep going. *)
-
 (** {2 Guarded execution}
 
     The fault-tolerant runner: every job ends in a structured
@@ -141,7 +142,8 @@ val run_jobs : ?domains:int -> job list -> (result * float) list
     [`Compiled], then [`Reference], and the divergence is recorded.  Traps
     and timeouts are final: they are properties of the simulated
     program and the deadline, identical on every backend, so degrading
-    cannot help. *)
+    cannot help.  The ladder walk itself is {!Guard.walk_ladder}, the
+    same one the serving daemon uses per request. *)
 
 exception Wrong_result of string
 (** Raised (and contained by the guard as a retryable crash) when the

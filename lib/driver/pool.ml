@@ -135,14 +135,6 @@ let map ?domains ?(label = default_label) f xs =
   | None ->
     List.map (function Stdlib.Ok r -> r | Stdlib.Error _ -> assert false) rs
 
-let timed_map ?domains ?label f xs =
-  map ?domains ?label
-    (fun x ->
-      let t0 = Unix.gettimeofday () in
-      let r = f x in
-      (r, Unix.gettimeofday () -. t0))
-    xs
-
 (* ------------------------------------------------------------------ *)
 (* Long-lived worker pool                                              *)
 (* ------------------------------------------------------------------ *)

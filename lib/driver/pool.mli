@@ -51,9 +51,8 @@ val outcome_message : 'a outcome -> string
 
 exception Job_error of int * string * exn
 (** [Job_error (index, label, e)]: job [index] (0-based input position,
-    with its display [label]) raised [e].  Raised by {!map} and
-    {!timed_map}; the original exception and backtrace are preserved in
-    the payload. *)
+    with its display [label]) raised [e].  Raised by {!map}; the
+    original exception and backtrace are preserved in the payload. *)
 
 (** {2 Fan-out} *)
 
@@ -71,12 +70,6 @@ val map_result : ?domains:int -> ('a -> 'b) -> 'a list -> 'b outcome list
     other job's result is still returned.  Never raises on a job
     failure.  {!Timeout} and {!Gave_up} are produced by the
     deadline/retry layer ({!Guard}), not by the pool itself. *)
-
-val timed_map :
-  ?domains:int -> ?label:(int -> 'a -> string) -> ('a -> 'b) -> 'a list ->
-  ('b * float) list
-(** {!map} that also reports each item's wall-clock seconds, measured
-    inside the worker domain. *)
 
 (** {2 Long-lived worker pool}
 

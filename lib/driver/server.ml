@@ -132,13 +132,6 @@ let content_key t source =
 
 let gen_key key gen = Printf.sprintf "%s#g%d" key gen
 
-let sim_config ?(cancel = None) t =
-  {
-    Sim.Machine.default_config with
-    Sim.Machine.fuel = t.config.Config.fuel;
-    Sim.Machine.cancel = cancel;
-  }
-
 let signature_of t base seqs table =
   Reorder.Drift.signature ~selector:t.config.Config.selector
     ~keep_original_default:t.config.Config.keep_original_default base seqs
@@ -164,6 +157,12 @@ let build_artifact t ~key ~generation ~signature served =
     a_image = image;
     a_compiled = compiled;
   }
+
+let entries t =
+  Mutex.lock t.entries_lock;
+  let es = !(t.entries) in
+  Mutex.unlock t.entries_lock;
+  es
 
 (* ------------------------------------------------------------------ *)
 (* Durable state                                                       *)
@@ -215,20 +214,25 @@ let snapshot_due t =
    [e_merge] one at a time — callers must hold NO [e_merge] (the merge
    paths signal "due" and snapshot after unlocking), so two concurrent
    snapshotters cannot deadlock; [snap_lock]'s try_lock makes the loser
-   skip rather than queue.  A merge that lands between record collection
-   and the journal truncation loses only its journal record, and only
-   until that program's next merge re-journals it (records are
-   absolute). *)
-let snapshot t =
+   skip rather than queue, unless [~wait] (a graceful shutdown, whose
+   snapshot must land after its final merges).  A merge that lands
+   between record collection and the journal truncation loses only its
+   journal record, and only until that program's next merge re-journals
+   it (records are absolute). *)
+let snapshot ~wait t =
   match (t.state_dir, t.journal) with
   | Some dir, Some w ->
-    if Mutex.try_lock t.snap_lock then
+    let locked =
+      if wait then begin
+        Mutex.lock t.snap_lock;
+        true
+      end
+      else Mutex.try_lock t.snap_lock
+    in
+    if locked then
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.snap_lock)
         (fun () ->
-          Mutex.lock t.entries_lock;
-          let es = !(t.entries) in
-          Mutex.unlock t.entries_lock;
           let records =
             List.map
               (fun e ->
@@ -236,17 +240,18 @@ let snapshot t =
                 Fun.protect
                   ~finally:(fun () -> Mutex.unlock e.e_merge)
                   (fun () -> program_record e))
-              es
+              (entries t)
           in
           State.write_snapshot ~dir records (bank_record t);
           State.truncate_journal ~dir;
           Atomic.set t.snap_mark (State.appended w))
   | _ -> ()
 
-(* cold path, single-flighted by the [programs] cache: parse + optimize
-   the base once, detect, instrument and train on this first request's
-   input, reorder, and pre-build every serving artifact *)
-let build_entry t ~name ~key ~source ~input =
+(* one servable entry: the cached optimized base, its sequences and a
+   compiled instrumented clone, then [fill] puts counts into the
+   clone's table and returns the execution mark drift is measured
+   from, and pass 2 under those counts serves [generation] *)
+let make_entry t ~name ~key ~source ~generation ~fill =
   let base =
     Sim.Artifact.find_or_build t.mir_cache key (fun () ->
         Pipeline.compile_base t.config source)
@@ -254,25 +259,10 @@ let build_entry t ~name ~key ~source ~input =
   let seqs = Pipeline.detect_seqs t.config base in
   let train_prog, table = Pipeline.instrument t.config base seqs in
   let train_compiled = Sim.Compiled.compile (Sim.Image.build train_prog) in
-  (match t.config.Config.profile with
-  | `Static ->
-    (* cold requests start on the pure static prediction: no training
-       run; the online shard profiles and {!Reorder.Drift} take over as
-       real counts accumulate and diverge from the prediction *)
-    Reorder.Profiles.add_static base seqs table
-  | (`Trained | `Both) as mode ->
-    (* the training run: a trap or fuel exhaustion still leaves usable
-       partial counts, so it is not fatal here — the guarded request
-       itself will surface the failure to the caller *)
-    (try
-       ignore
-         (Sim.Compiled.exec ~config:(sim_config t) ~profile:table
-            train_compiled ~input)
-     with _ -> ());
-    if mode = `Both then Reorder.Profiles.add_static base seqs table);
+  let last_opt_execs = fill base seqs train_compiled table in
   let served, _report = Pipeline.reoptimize t.config ~name base seqs table in
   let signature = signature_of t base seqs table in
-  let artifact = build_artifact t ~key ~generation:1 ~signature served in
+  let artifact = build_artifact t ~key ~generation ~signature served in
   let entry =
     {
       e_key = key;
@@ -288,13 +278,38 @@ let build_entry t ~name ~key ~source ~input =
           (fun _ -> (Mutex.create (), Sim.Profile.copy_shape table));
       e_artifact = Atomic.make artifact;
       e_merge = Mutex.create ();
-      e_last_opt_execs = Sim.Profile.total_executions table;
+      e_last_opt_execs = last_opt_execs;
       e_pending = Atomic.make 0;
     }
   in
   Mutex.lock t.entries_lock;
   t.entries := !(t.entries) @ [ entry ];
   Mutex.unlock t.entries_lock;
+  entry
+
+(* cold path, single-flighted by the [programs] cache: train on this
+   first request's input (or predict statically) and serve generation 1 *)
+let build_entry t ~name ~key ~source ~input =
+  let fill base seqs train_compiled table =
+    (match t.config.Config.profile with
+    | `Static ->
+      (* cold requests start on the pure static prediction: no training
+         run; the online shard profiles and {!Reorder.Drift} take over as
+         real counts accumulate and diverge from the prediction *)
+      Reorder.Profiles.add_static base seqs table
+    | (`Trained | `Both) as mode ->
+      (* the training run: a trap or fuel exhaustion still leaves usable
+         partial counts, so it is not fatal here — the guarded request
+         itself will surface the failure to the caller *)
+      (try
+         ignore
+           (Sim.Compiled.exec ~config:(Pipeline.sim_config t.config)
+              ~profile:table train_compiled ~input)
+       with _ -> ());
+      if mode = `Both then Reorder.Profiles.add_static base seqs table);
+    Sim.Profile.total_executions table
+  in
+  let entry = make_entry t ~name ~key ~source ~generation:1 ~fill in
   (* journal the newborn entry: a crash before its first merge must
      still find the program (training counts included) on restart *)
   (match t.journal with
@@ -302,51 +317,24 @@ let build_entry t ~name ~key ~source ~input =
   | Some w -> State.journal_program w (program_record entry));
   entry
 
-(* warm-start one persisted program: recompile the base from its
-   persisted source, restore the merged profile counters verbatim, and
-   re-optimize under them at the persisted generation — no training
-   run, no generation reset.  The selection signature is recomputed
-   from the restored counters; with counters intact it reproduces the
-   persisted one, and it is what future drift checks compare against. *)
+(* warm-start one persisted program: restore the merged profile
+   counters verbatim and re-optimize under them at the persisted
+   generation — no training run, no generation reset.  The selection
+   signature is recomputed from the restored counters; with counters
+   intact it reproduces the persisted one, and it is what future drift
+   checks compare against. *)
 let restore_entry t (p : State.program) =
-  let key = p.State.p_key in
-  let base =
-    Sim.Artifact.find_or_build t.mir_cache key (fun () ->
-        Pipeline.compile_base t.config p.State.p_source)
+  let fill _base _seqs _train_compiled table =
+    let applied =
+      Sim.Profile.set_counters table ~ranges:p.State.p_ranges
+        ~combs:p.State.p_combs
+    in
+    if applied = 0 && (p.State.p_ranges <> [] || p.State.p_combs <> []) then
+      failwith "restore: persisted counters do not match the program's shape";
+    p.State.p_last_opt_execs
   in
-  let seqs = Pipeline.detect_seqs t.config base in
-  let train_prog, table = Pipeline.instrument t.config base seqs in
-  let train_compiled = Sim.Compiled.compile (Sim.Image.build train_prog) in
-  let applied =
-    Sim.Profile.set_counters table ~ranges:p.State.p_ranges
-      ~combs:p.State.p_combs
-  in
-  if applied = 0 && (p.State.p_ranges <> [] || p.State.p_combs <> []) then
-    failwith "restore: persisted counters do not match the program's shape";
-  let served, _report =
-    Pipeline.reoptimize t.config ~name:p.State.p_name base seqs table
-  in
-  let signature = signature_of t base seqs table in
-  let artifact =
-    build_artifact t ~key ~generation:p.State.p_generation ~signature served
-  in
-  {
-    e_key = key;
-    e_name = p.State.p_name;
-    e_source = p.State.p_source;
-    e_base = base;
-    e_seqs = seqs;
-    e_train_compiled = train_compiled;
-    e_global = table;
-    e_shards =
-      Array.init
-        (Pool.Workers.size t.pool)
-        (fun _ -> (Mutex.create (), Sim.Profile.copy_shape table));
-    e_artifact = Atomic.make artifact;
-    e_merge = Mutex.create ();
-    e_last_opt_execs = p.State.p_last_opt_execs;
-    e_pending = Atomic.make 0;
-  }
+  make_entry t ~name:p.State.p_name ~key:p.State.p_key
+    ~source:p.State.p_source ~generation:p.State.p_generation ~fill
 
 (* replay persisted state into the caches, drop what no longer matches
    (config change, unparsable source); never fails the boot *)
@@ -359,11 +347,7 @@ let restore_state t dir =
           Sim.Artifact.find_or_build t.programs p.State.p_key (fun () ->
               restore_entry t p)
         with
-        | entry ->
-          Mutex.lock t.entries_lock;
-          t.entries := !(t.entries) @ [ entry ];
-          Mutex.unlock t.entries_lock;
-          Atomic.incr t.restored
+        | _entry -> Atomic.incr t.restored
         | exception _ -> ())
     r.State.r_programs;
   (try
@@ -498,28 +482,28 @@ let try_merge t e =
       ~finally:(fun () -> Mutex.unlock e.e_merge)
       (fun () -> merge_locked t e);
     (* snapshot with no [e_merge] held — see [snapshot] *)
-    if snapshot_due t then snapshot t
+    if snapshot_due t then snapshot ~wait:false t
   end
 
-let sync t =
-  Mutex.lock t.entries_lock;
-  let es = !(t.entries) in
-  Mutex.unlock t.entries_lock;
+let merge_all t =
   List.iter
     (fun e ->
       Mutex.lock e.e_merge;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock e.e_merge)
         (fun () -> merge_locked t e))
-    es;
-  if snapshot_due t then snapshot t
+    (entries t)
+
+let sync t =
+  merge_all t;
+  if snapshot_due t then snapshot ~wait:false t
 
 (* ------------------------------------------------------------------ *)
 (* Request execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let exec_rung t (art : artifact) backend ~cancel ~input =
-  let sc = sim_config ~cancel t in
+  let sc = Pipeline.sim_config { t.config with Config.cancel } in
   match backend with
   | `Compiled -> Sim.Compiled.exec ~config:sc art.a_compiled ~input
   | `Native | `Reference ->
@@ -537,7 +521,7 @@ let shadow_run t (e : entry) ~worker ~input =
   Mutex.lock t.bank_locks.(worker);
   (try
      ignore
-       (Sim.Compiled.exec ~config:(sim_config t) ~profile:shard
+       (Sim.Compiled.exec ~config:(Pipeline.sim_config t.config) ~profile:shard
           ~sink:(Sim.Predictor.Sink_bank t.banks.(worker))
           e.e_train_compiled ~input)
    with _ -> ());
@@ -599,26 +583,14 @@ let handle ?deadline_ms ?inject t ~worker ~name ~source ~input =
     }
   | entry ->
     let art = Atomic.get entry.e_artifact in
-    let rungs =
-      if policy.Guard.degrade then Sim.Machine.ladder requested
-      else [ requested ]
+    let landing =
+      Guard.walk_ladder ~index:0 policy requested
+        (fun backend ~attempt:_ ~cancel ->
+          fire_inject ();
+          exec_rung t art backend ~cancel ~input)
     in
-    let rec walk rungs =
-      match rungs with
-      | [] -> assert false
-      | backend :: rest -> (
-        let outcome, _meta =
-          Guard.protect policy (fun ~attempt:_ ~cancel ->
-              fire_inject ();
-              exec_rung t art backend ~cancel ~input)
-        in
-        match outcome with
-        | Pool.Ok r -> (backend, Pool.Ok r)
-        | Pool.Trap _ | Pool.Timeout _ -> (backend, outcome)
-        | Pool.Crash _ | Pool.Gave_up _ ->
-          if rest = [] then (backend, outcome) else walk rest)
-    in
-    let backend, outcome = walk rungs in
+    let backend = landing.Guard.l_backend in
+    let outcome = landing.Guard.l_outcome in
     let response =
       match outcome with
       | Pool.Ok (r : Sim.Machine.result) ->
@@ -699,7 +671,8 @@ let oracle t ~name ~source ~input =
         build_entry t ~name ~key ~source ~input)
   in
   let r =
-    Sim.Machine.run_reference ~config:(sim_config t) entry.e_base ~input
+    Sim.Machine.run_reference ~config:(Pipeline.sim_config t.config)
+      entry.e_base ~input
   in
   (r.Sim.Machine.output, r.Sim.Machine.exit_code)
 
@@ -723,15 +696,12 @@ let stats t =
     st_overloaded = Pool.Workers.shed t.pool;
     st_restored = Atomic.get t.restored;
     st_programs =
-      (Mutex.lock t.entries_lock;
-       let es = !(t.entries) in
-       Mutex.unlock t.entries_lock;
-       List.map
-         (fun e ->
-           ( e.e_name,
-             (Atomic.get e.e_artifact).a_generation,
-             Sim.Profile.total_executions e.e_global ))
-         es);
+      List.map
+        (fun e ->
+          ( e.e_name,
+            (Atomic.get e.e_artifact).a_generation,
+            Sim.Profile.total_executions e.e_global ))
+        (entries t);
   }
 
 let reopt_events t =
@@ -754,30 +724,8 @@ let shutdown ?(crash = false) t =
          straggling shard, then leave a fresh snapshot and an empty
          journal for the next boot *)
       Pool.Workers.shutdown t.pool;
-      Mutex.lock t.entries_lock;
-      let es = !(t.entries) in
-      Mutex.unlock t.entries_lock;
-      List.iter
-        (fun e ->
-          Mutex.lock e.e_merge;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock e.e_merge)
-            (fun () -> merge_locked t e))
-        es;
-      (match t.state_dir with
-      | Some dir when t.journal <> None ->
-        let records =
-          List.map
-            (fun e ->
-              Mutex.lock e.e_merge;
-              Fun.protect
-                ~finally:(fun () -> Mutex.unlock e.e_merge)
-                (fun () -> program_record e))
-            es
-        in
-        State.write_snapshot ~dir records (bank_record t);
-        State.truncate_journal ~dir
-      | _ -> ())
+      merge_all t;
+      snapshot ~wait:true t
     end;
     match t.journal with
     | Some w -> State.close_journal w

@@ -106,6 +106,73 @@ let test_output_mismatch_detected () =
     r.Driver.Pipeline.r_original.Driver.Pipeline.v_output
     r.Driver.Pipeline.r_reordered.Driver.Pipeline.v_output
 
+(* Pipeline.run observables of the reordered version under each pass-2
+   path: (dynamic insns, cond branches, (0,2)x2048 mispredicts, static
+   insns) on the first 8000 bytes of each input.  A change to training,
+   backfill, certification, the common-successor rewrites or profile
+   layout shows here. *)
+let run_golden =
+  [
+    ("default", "wc", (118843, 23109, 3162, 125));
+    ("default", "lex", (159546, 38654, 8511, 640));
+    ("default", "cpp", (160870, 35834, 10593, 543));
+    ("common_succ+coalesce", "wc", (118843, 23109, 3162, 125));
+    ("common_succ+coalesce", "lex", (158579, 38487, 8509, 636));
+    ("common_succ+coalesce", "cpp", (159820, 35630, 10591, 541));
+    ("profile_layout", "wc", (121744, 23109, 3153, 135));
+    ("profile_layout", "lex", (157879, 38654, 8468, 656));
+    ("profile_layout", "cpp", (152234, 35834, 10552, 555));
+    ("static+verify", "wc", (118957, 23109, 3161, 108));
+    ("static+verify", "lex", (243678, 75079, 6104, 553));
+    ("static+verify", "cpp", (259491, 76572, 6276, 450));
+    ("both", "wc", (118843, 23109, 3162, 125));
+    ("both", "lex", (159530, 38654, 8511, 655));
+    ("both", "cpp", (160870, 35834, 10593, 543));
+  ]
+
+let test_run_golden () =
+  let d = Driver.Config.default in
+  let configs =
+    [
+      ("default", d);
+      ( "common_succ+coalesce",
+        {
+          d with
+          Driver.Config.common_succ = true;
+          coalesce_machine = Some Sim.Cycle_model.sparc_ipc;
+        } );
+      ("profile_layout", { d with Driver.Config.profile_layout = true });
+      ( "static+verify",
+        { d with Driver.Config.profile = `Static; verify = true } );
+      ("both", { d with Driver.Config.profile = `Both });
+    ]
+  in
+  let trunc s = String.sub s 0 (min 8000 (String.length s)) in
+  let jobs =
+    List.map
+      (fun (cname, name, _) ->
+        let w = Workloads.Registry.find name in
+        Driver.Pipeline.job ~config:(List.assoc cname configs) ~name
+          ~source:w.Workloads.Spec.source
+          ~training_input:(trunc (Lazy.force w.Workloads.Spec.training_input))
+          ~test_input:(trunc (Lazy.force w.Workloads.Spec.test_input))
+          ())
+      run_golden
+  in
+  List.iter2
+    (fun (cname, name, expected) (r : Driver.Pipeline.result) ->
+      let v = r.Driver.Pipeline.r_reordered in
+      let c = v.Driver.Pipeline.v_counters in
+      Alcotest.(check (pair (pair int int) (pair int int)))
+        (Printf.sprintf "%s %s" cname name)
+        (let i, b, m, st = expected in
+         ((i, b), (m, st)))
+        ( (c.Sim.Counters.insns, c.Sim.Counters.cond_branches),
+          ( List.assoc (0, 2, 2048) v.Driver.Pipeline.v_mispredicts,
+            v.Driver.Pipeline.v_static_insns ) ))
+    run_golden
+    (Driver.Pool.map Driver.Pipeline.run_job jobs)
+
 let suite =
   [
     case "driver: percentage arithmetic" test_pct;
@@ -117,4 +184,6 @@ let suite =
     case "driver: stats aggregation" test_stats_aggregation;
     case "driver: stats merge and histogram" test_stats_merge_and_histogram;
     case "driver: output equality guard" test_output_mismatch_detected;
+    slow_case "driver: run observables golden, five pass-2 configurations"
+      test_run_golden;
   ]

@@ -103,11 +103,6 @@ let test_map_result_random_faults =
              | _ -> false)
            (Array.to_list faulty) outs)
 
-let test_timed_map () =
-  let ys = Driver.Pool.timed_map ~domains:3 (fun x -> x + 1) [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "results" [ 2; 3; 4 ] (List.map fst ys);
-  List.iter (fun (_, s) -> check_bool "non-negative time" true (s >= 0.0)) ys
-
 let test_default_domains_env () =
   let saved = Sys.getenv_opt "BROMC_DOMAINS" in
   Unix.putenv "BROMC_DOMAINS" "3";
@@ -188,6 +183,54 @@ let test_guard_bounded_and_final () =
   | _ -> Alcotest.fail "expected Trap");
   check_int "trap not retried" 1 meta.Driver.Guard.m_attempts;
   check_int "job ran once" 1 !calls
+
+(* the degradation ladder with a fake job: crashes step down a rung,
+   traps and timeouts stop where they happen, attempts and errors are
+   summed over the rungs tried *)
+let test_guard_walk_ladder () =
+  let policy =
+    { Driver.Guard.default with Driver.Guard.retries = 1; backoff_ms = 0;
+      degrade = true }
+  in
+  let rungs = ref [] in
+  let walk ?(policy = policy) f =
+    rungs := [];
+    Driver.Guard.walk_ladder ~index:0 policy `Native (fun b ~attempt ~cancel:_ ->
+        rungs := Sim.Machine.backend_name b :: !rungs;
+        f b attempt)
+  in
+  let check_landing what ~status ~backend ~degraded ~attempts ~errors ~tried
+      (l : string Driver.Guard.landing) =
+    check_output (what ^ ": status") status
+      (Driver.Pool.outcome_status l.Driver.Guard.l_outcome);
+    check_output (what ^ ": rung") backend
+      (Sim.Machine.backend_name l.Driver.Guard.l_backend);
+    check_bool (what ^ ": degraded") degraded l.Driver.Guard.l_degraded;
+    check_int (what ^ ": attempts") attempts l.Driver.Guard.l_attempts;
+    check_int (what ^ ": errors") errors (List.length l.Driver.Guard.l_errors);
+    Alcotest.(check (list string)) (what ^ ": rungs tried") tried
+      (List.sort_uniq compare !rungs)
+  in
+  (* native gives up after its retry; compiled serves *)
+  check_landing "crash steps down" ~status:"ok" ~backend:"compiled"
+    ~degraded:true ~attempts:3 ~errors:2 ~tried:[ "compiled"; "native" ]
+    (walk (fun b attempt ->
+         if b = `Native then raise (Boom attempt) else "served"));
+  check_landing "trap is final" ~status:"trap" ~backend:"native"
+    ~degraded:false ~attempts:1 ~errors:1 ~tried:[ "native" ]
+    (walk (fun _ _ -> raise (Sim.Runtime.Trap "t")));
+  check_landing "timeout is final" ~status:"timeout" ~backend:"native"
+    ~degraded:false ~attempts:1 ~errors:1 ~tried:[ "native" ]
+    (walk (fun _ _ -> raise Sim.Runtime.Cancelled));
+  check_landing "every rung crashes" ~status:"gave_up" ~backend:"reference"
+    ~degraded:true ~attempts:6 ~errors:6
+    ~tried:[ "compiled"; "native"; "reference" ]
+    (walk (fun _ attempt -> raise (Boom attempt)));
+  check_landing "no degradation: one rung" ~status:"gave_up" ~backend:"native"
+    ~degraded:false ~attempts:2 ~errors:2 ~tried:[ "native" ]
+    (walk
+       ~policy:{ policy with Driver.Guard.degrade = false }
+       (fun _ attempt -> raise (Boom attempt)))
 
 (* ------------------------------------------------------------------ *)
 (* Watchdog: a runaway job is cancelled and classified as a timeout     *)
@@ -360,7 +403,7 @@ let test_backend_fallback_observables () =
           ())
       Workloads.Registry.all
   in
-  let clean = Driver.Pipeline.run_jobs ~domains:4 jobs in
+  let clean = Driver.Pool.map ~domains:4 Driver.Pipeline.run_job jobs in
   (* corrupt every job's compiled-backend result: each must fall back to
      the reference interpreter and reproduce the clean observables *)
   let faults =
@@ -377,7 +420,7 @@ let test_backend_fallback_observables () =
     Driver.Pipeline.run_jobs_guarded ~domains:4 ~policy ~inject:faults jobs
   in
   List.iter2
-    (fun ((c : Driver.Pipeline.result), _) (o : Driver.Pipeline.job_outcome) ->
+    (fun (c : Driver.Pipeline.result) (o : Driver.Pipeline.job_outcome) ->
       match o.Driver.Pipeline.o_outcome with
       | Driver.Pool.Ok r ->
         check_bool (o.Driver.Pipeline.o_name ^ ": degraded") true
@@ -404,8 +447,8 @@ let test_backend_fallback_observables () =
           (Driver.Pool.outcome_status out))
     clean outcomes
 
-(* a parallel run of pipeline jobs equals the sequential run, job order
-   preserved *)
+(* a parallel guarded run of pipeline jobs equals the sequential one,
+   job order preserved *)
 let test_run_jobs_deterministic () =
   let workloads = [ "wc"; "hyphen"; "deroff" ] in
   let jobs =
@@ -419,13 +462,23 @@ let test_run_jobs_deterministic () =
           ())
       workloads
   in
-  let seq = Driver.Pipeline.run_jobs ~domains:1 jobs in
-  let par = Driver.Pipeline.run_jobs ~domains:3 jobs in
+  let results domains =
+    List.map
+      (fun (o : Driver.Pipeline.job_outcome) ->
+        match o.Driver.Pipeline.o_outcome with
+        | Driver.Pool.Ok r -> r
+        | out ->
+          Alcotest.failf "%s: %s" o.Driver.Pipeline.o_name
+            (Driver.Pool.outcome_message out))
+      (Driver.Pipeline.run_jobs_guarded ~domains jobs)
+  in
+  let seq = results 1 in
+  let par = results 3 in
   Alcotest.(check (list string))
     "sequential order" workloads
-    (List.map (fun ((r : Driver.Pipeline.result), _) -> r.Driver.Pipeline.r_name) seq);
+    (List.map (fun (r : Driver.Pipeline.result) -> r.Driver.Pipeline.r_name) seq);
   List.iter2
-    (fun ((a : Driver.Pipeline.result), _) ((b : Driver.Pipeline.result), _) ->
+    (fun (a : Driver.Pipeline.result) (b : Driver.Pipeline.result) ->
       check_output "name" a.Driver.Pipeline.r_name b.Driver.Pipeline.r_name;
       check_int
         (a.Driver.Pipeline.r_name ^ ": reordered insns")
@@ -465,10 +518,11 @@ let suite =
     case "map wraps the first error in Job_error" test_map_exception;
     case "map_result isolates failures from siblings" test_map_result_isolation;
     test_map_result_random_faults;
-    case "timed_map pairs results with durations" test_timed_map;
     case "BROMC_DOMAINS overrides the domain count" test_default_domains_env;
     case "guard retries are seeded-deterministic" test_guard_retry_determinism;
     case "guard retries are bounded; traps are final" test_guard_bounded_and_final;
+    case "guard ladder: crashes step down, traps and timeouts are final"
+      test_guard_walk_ladder;
     case "manifest JSON-lines round trip" test_manifest_roundtrip;
     case "fault plans are seeded and cover all kinds" test_inject_plan;
     slow_case "watchdog cancels a runaway job as a timeout" test_watchdog_timeout;
@@ -477,5 +531,6 @@ let suite =
     slow_case "backend fallback preserves workload observables"
       test_backend_fallback_observables;
     case "pipeline stage hook fires in order" test_on_stage_hook;
-    slow_case "parallel run_jobs equals sequential" test_run_jobs_deterministic;
+    slow_case "parallel run_jobs_guarded equals sequential"
+      test_run_jobs_deterministic;
   ]

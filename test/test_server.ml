@@ -553,6 +553,44 @@ let test_server_crash_restart_resumes () =
           check_bool "drift serves at its resumed generation" true
             (rd.Driver.Server.rs_generation >= 2)))
 
+(* a graceful shutdown merges the shards no merge has taken yet and
+   leaves a snapshot a restart restores every program from, exactly *)
+let test_server_graceful_restart_resumes () =
+  with_state_dir (fun dir ->
+      let make () =
+        Driver.Server.create ~domains:2 ~sample_every:1 ~merge_every:1000
+          ~state_dir:dir ()
+      in
+      let srv = make () in
+      let input = wc_input () in
+      let d0 = Driver.Replay.drift_input ~phase:0 ~seed:3 in
+      for _ = 1 to 3 do
+        ignore (Driver.Server.submit srv ~name:"wc" ~source:wc_source ~input);
+        ignore
+          (Driver.Server.submit srv ~name:"drift"
+             ~source:Driver.Replay.drift_source ~input:d0)
+      done;
+      let executions st =
+        List.fold_left
+          (fun acc (_, _, n) -> acc + n)
+          0 st.Driver.Server.st_programs
+      in
+      let unmerged = executions (Driver.Server.stats srv) in
+      Driver.Server.shutdown srv;
+      let pre = Driver.Server.stats srv in
+      check_bool "shutdown merged the pending shards" true
+        (executions pre > unmerged);
+      let srv2 = make () in
+      Fun.protect
+        ~finally:(fun () -> Driver.Server.shutdown srv2)
+        (fun () ->
+          let post = Driver.Server.stats srv2 in
+          check_int "both programs restored" 2
+            post.Driver.Server.st_restored;
+          check_bool "generations and counters restored exactly" true
+            (List.sort compare post.Driver.Server.st_programs
+            = List.sort compare pre.Driver.Server.st_programs)))
+
 (* a config change must not resurrect stale state: the content key
    embeds the config fingerprint, so restore drops every record *)
 let test_restore_drops_on_config_change () =
@@ -702,6 +740,8 @@ let suite =
       test_artifact_lru_race;
     slow_case "server: crash-restart resumes generation and counters"
       test_server_crash_restart_resumes;
+    slow_case "server: graceful shutdown, restart restores every program"
+      test_server_graceful_restart_resumes;
     case "server: restore drops state on config change"
       test_restore_drops_on_config_change;
     case "server: queue cap sheds load as overloaded"
