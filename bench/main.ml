@@ -10,7 +10,7 @@
      Figures 11-13  sequence length distributions per heuristic set
 
    Usage:
-     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe                 # every section but ablations
      dune exec bench/main.exe -- --fast       # smaller inputs
      dune exec bench/main.exe -- table4 figs  # selected sections
      dune exec bench/main.exe -- backends     # execution-backend race
@@ -18,10 +18,17 @@
      dune exec bench/main.exe -- ablations    # design-choice ablations
      dune exec bench/main.exe -- static       # static vs trained profile
                                               # (writes BENCH_PR9.json)
-     dune exec bench/main.exe -- -j 8         # domain-pool width
-     dune exec bench/main.exe -- --seq        # sequential harness
+     dune exec bench/main.exe -- serve        # warm-cache replay report
+     dune exec bench/main.exe -- -j 8         # domain-pool width (-j 1:
+                                              # sequential harness)
      dune exec bench/main.exe -- --verify     # translation-validate every
                                               # matrix pipeline (lib/check)
+     dune exec bench/main.exe -- --help       # every section and flag
+
+   Sections are checked when the command line is parsed: an unknown
+   section name or a malformed flag value is a usage error.  The flags
+   the harness shares with bromc (-j, --verify, --timeout-ms, --retries)
+   come from the one set of terms in bin/cli.ml.
 
    The 17-workload matrix of each heuristic set is fanned out across
    OCaml 5 domains (Driver.Pool) under the guarded runner: a workload
@@ -38,19 +45,18 @@
    Shapes, not absolute numbers, are the reproduction target; see
    EXPERIMENTS.md for the paper-vs-measured discussion. *)
 
-let fast = ref false
-let sections = ref []
-let seq = ref false
-let jobs_flag = ref None
-let json_path = ref "BENCH_PR6.json"
-let no_json = ref false
-let timeout_ms = ref None
-let retries = ref 0
-
-(* --verify: run the translation validator inside every matrix pipeline
-   (Pipeline.run fails the job on any rejection), so a bench run
-   self-certifies the numbers it reports *)
-let verify = ref false
+type opts = {
+  fast : bool;  (* truncate every input to 6000 bytes *)
+  domains : int;
+  (* run the translation validator inside every matrix pipeline
+     (Pipeline.run fails the job on any rejection), so a bench run
+     self-certifies the numbers it reports *)
+  verify : bool;
+  policy : Driver.Guard.policy;
+  json : string option;  (* the matrix record; [None] under --no-json *)
+  static_json : string option;  (* the static-profile record *)
+  sections : string list;  (* [] = every section but ablations *)
+}
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -61,8 +67,7 @@ let contains haystack needle =
   in
   n = 0 || go 0
 
-let want name =
-  !sections = [] || List.mem name !sections
+let want o name = o.sections = [] || List.mem name o.sections
 
 (* ------------------------------------------------------------------ *)
 (* Running the pipeline over the workload matrix                       *)
@@ -74,24 +79,13 @@ type row = {
   seconds : float;  (* wall clock of this workload's pipeline run *)
 }
 
-let truncate_input s = if !fast then String.sub s 0 (min 6000 (String.length s)) else s
+let trim o s = if o.fast then String.sub s 0 (min 6000 (String.length s)) else s
 
-let domains () =
-  if !seq then 1
-  else match !jobs_flag with Some n -> n | None -> Driver.Pool.default_domains ()
-
-(* jobs are built in the parent so the lazy inputs are forced exactly
-   once, before any domain fan-out *)
-let jobs_for config =
-  List.map
-    (fun (w : Workloads.Spec.t) ->
-      Driver.Pipeline.job ~config ~name:w.Workloads.Spec.name
-        ~source:w.Workloads.Spec.source
-        ~training_input:
-          (truncate_input (Lazy.force w.Workloads.Spec.training_input))
-        ~test_input:(truncate_input (Lazy.force w.Workloads.Spec.test_input))
-        ())
-    Workloads.Registry.all
+(* the 17 registry workloads under [config], guarded: a failing job is
+   contained to its outcome *)
+let run_registry o ~domains config =
+  Driver.Pipeline.run_jobs_guarded ~domains ~policy:o.policy
+    (Cli.workload_jobs ~trim:(trim o) ~config Workloads.Registry.all)
 
 (* per heuristic set: rows + the wall clock of the whole matrix *)
 let matrix : (string, row list * float) Hashtbl.t = Hashtbl.create 4
@@ -101,34 +95,25 @@ let matrix : (string, row list * float) Hashtbl.t = Hashtbl.create 4
 let outcomes_memo : (string, Driver.Pipeline.job_outcome list) Hashtbl.t =
   Hashtbl.create 4
 
-let run_matrix hs ~domains =
-  if domains = 1 && Domain.recommended_domain_count () > 1 && not !seq then
+let run_matrix o hs ~domains =
+  if domains = 1 && Domain.recommended_domain_count () > 1 then
     Printf.eprintf
       "[bench] WARNING: the domain pool is effectively sequential (1 domain \
        on a machine with %d recommended); wall-clock numbers will not show \
        fan-out\n%!"
       (Domain.recommended_domain_count ());
-  let config =
-    {
-      Driver.Config.default with
-      Driver.Config.heuristic = hs;
-      Driver.Config.verify = !verify;
-    }
-  in
-  let jobs = jobs_for config in
   Printf.eprintf
     "[bench] running the 17 workloads under heuristic set %s on %d domain(s)...\n%!"
     hs.Mopt.Switch_lower.hs_name domains;
-  let policy =
-    {
-      Driver.Guard.default with
-      Driver.Guard.timeout_ms = !timeout_ms;
-      retries = !retries;
-      degrade = true;
-    }
-  in
   let t0 = Unix.gettimeofday () in
-  let outcomes = Driver.Pipeline.run_jobs_guarded ~domains ~policy jobs in
+  let outcomes =
+    run_registry o ~domains
+      {
+        Driver.Config.default with
+        Driver.Config.heuristic = hs;
+        verify = o.verify;
+      }
+  in
   let wall = Unix.gettimeofday () -. t0 in
   Hashtbl.replace outcomes_memo hs.Mopt.Switch_lower.hs_name outcomes;
   (* failed workloads are contained, not fatal: their rows are dropped,
@@ -152,15 +137,15 @@ let run_matrix hs ~domains =
   in
   (rows, wall)
 
-let rows_with_wall hs =
+let rows_with_wall o hs =
   match Hashtbl.find_opt matrix hs.Mopt.Switch_lower.hs_name with
   | Some rw -> rw
   | None ->
-    let rw = run_matrix hs ~domains:(domains ()) in
+    let rw = run_matrix o hs ~domains:o.domains in
     Hashtbl.replace matrix hs.Mopt.Switch_lower.hs_name rw;
     rw
 
-let rows_for hs = fst (rows_with_wall hs)
+let rows_for o hs = fst (rows_with_wall o hs)
 
 let counters_of (v : Driver.Pipeline.version) = v.Driver.Pipeline.v_counters
 let orig r = r.result.Driver.Pipeline.r_original
@@ -194,11 +179,11 @@ let table3 () =
 (* Table 4                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let table4 () =
+let table4 o =
   section "Table 4: Dynamic Frequency Measurements";
   List.iter
     (fun hs ->
-      let rows = rows_for hs in
+      let rows = rows_for o hs in
       Printf.printf "\n--- heuristic set %s ---\n" hs.Mopt.Switch_lower.hs_name;
       Printf.printf "%-8s %12s %10s %10s\n" "Program" "Orig Insts"
         "Insts" "Branches";
@@ -238,10 +223,10 @@ let ratio r key =
          ((counters_of o).Sim.Counters.insns - (counters_of n).Sim.Counters.insns)
       /. float_of_int dm)
 
-let table5 () =
+let table5 o =
   section "Table 5: Branch Prediction Measurements ((0,2), 2048 entries, set I)";
   let key = (0, 2, 2048) in
-  let rows = rows_for Mopt.Switch_lower.set_i in
+  let rows = rows_for o Mopt.Switch_lower.set_i in
   Printf.printf "%-8s %12s %12s %12s\n" "Program" "Orig Mispred" "Change"
     "Inst Ratio";
   line 50;
@@ -265,13 +250,13 @@ let table5 () =
   Printf.printf "%-8s %12s %+11.2f%% %12.2f\n" "average" "" (average !deltas)
     (average !ratios)
 
-let table6 () =
+let table6 o =
   section "Table 6: Branch Prediction Across Predictors (set I)";
   Printf.printf "%8s | %21s | %21s\n" "" "(0,1) predictor" "(0,2) predictor";
   Printf.printf "%8s | %10s %10s | %10s %10s\n" "Entries" "Mispred"
     "Inst Ratio" "Mispred" "Inst Ratio";
   line 58;
-  let rows = rows_for Mopt.Switch_lower.set_i in
+  let rows = rows_for o Mopt.Switch_lower.set_i in
   let summarize key =
     let deltas =
       List.map (fun r -> pct (mispred_of (orig r) key) (mispred_of (reord r) key)) rows
@@ -297,7 +282,7 @@ let table6 () =
 (* Table 7: execution time                                             *)
 (* ------------------------------------------------------------------ *)
 
-let table7 () =
+let table7 o =
   section "Table 7: Execution Time (simulated cycles)";
   (* the paper pairs machines with translation heuristics: the IPC and
      the SPARC 20 used set I, the Ultra 1 used set II *)
@@ -320,7 +305,7 @@ let table7 () =
       Printf.printf "%-8s" w.Workloads.Spec.name;
       List.iteri
         (fun i ((m : Sim.Cycle_model.params), hs) ->
-          let rows = rows_for hs in
+          let rows = rows_for o hs in
           match
             List.find_opt
               (fun row ->
@@ -351,9 +336,9 @@ let table7 () =
    time is proportional to the dynamic instruction count, so timing the
    simulation of the original vs the reordered binary is this
    reproduction's analogue of the paper's `times()' measurements. *)
-let bechamel_table7 () =
+let bechamel_table7 o =
   section "Table 7 (companion): Bechamel wall-clock of simulated runs (set I)";
-  let rows = rows_for Mopt.Switch_lower.set_i in
+  let rows = rows_for o Mopt.Switch_lower.set_i in
   let chosen = [ "wc"; "grep"; "sort"; "lex" ] in
   let tests =
     List.concat_map
@@ -361,7 +346,7 @@ let bechamel_table7 () =
         if not (List.mem r.workload.Workloads.Spec.name chosen) then []
         else begin
           let input =
-            truncate_input (Lazy.force r.workload.Workloads.Spec.test_input)
+            trim o (Lazy.force r.workload.Workloads.Spec.test_input)
           in
           let make label prog =
             (* compile once so the lowering is amortized and the
@@ -379,7 +364,7 @@ let bechamel_table7 () =
   in
   let cfg =
     Bechamel.Benchmark.cfg ~limit:50
-      ~quota:(Bechamel.Time.second (if !fast then 0.2 else 0.5))
+      ~quota:(Bechamel.Time.second (if o.fast then 0.2 else 0.5))
       ~kde:None ()
   in
   let raw =
@@ -421,11 +406,11 @@ let bechamel_table7 () =
 (* Table 8: static measurements                                        *)
 (* ------------------------------------------------------------------ *)
 
-let table8 () =
+let table8 o =
   section "Table 8: Static Measurements";
   List.iter
     (fun hs ->
-      let rows = rows_for hs in
+      let rows = rows_for o hs in
       Printf.printf "\n--- heuristic set %s ---\n" hs.Mopt.Switch_lower.hs_name;
       Printf.printf "%-8s %8s %10s %10s %10s %10s\n" "Program" "Insts"
         "Total Seqs" "Reordered" "Avg Before" "Avg After";
@@ -484,13 +469,13 @@ let histogram title lengths =
       Printf.printf "  %3d | %-40s %d\n" len bar count)
     h
 
-let figures () =
+let figures o =
   List.iter2
     (fun hs fig ->
       section
         (Printf.sprintf "Figure %d: Sequence Lengths for Heuristic Set %s" fig
            hs.Mopt.Switch_lower.hs_name);
-      let rows = rows_for hs in
+      let rows = rows_for o hs in
       let stats =
         List.fold_left
           (fun acc r -> Reorder.Stats.merge acc r.result.Driver.Pipeline.r_stats)
@@ -508,7 +493,7 @@ let figures () =
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ablations () =
+let ablations o =
   section "Ablations (set I): design choices from DESIGN.md";
   let variants =
     [
@@ -562,20 +547,11 @@ let ablations () =
     (fun (label, config) ->
       Printf.printf "%-38s%!" label;
       let jobs =
-        List.map
-          (fun name ->
-            let w = Workloads.Registry.find name in
-            Driver.Pipeline.job ~config ~name:w.Workloads.Spec.name
-              ~source:w.Workloads.Spec.source
-              ~training_input:
-                (truncate_input (Lazy.force w.Workloads.Spec.training_input))
-              ~test_input:
-                (truncate_input (Lazy.force w.Workloads.Spec.test_input))
-              ())
-          chosen
+        Cli.workload_jobs ~trim:(trim o) ~config
+          (List.map Workloads.Registry.find chosen)
       in
       let results =
-        Driver.Pool.map ~domains:(domains ()) Driver.Pipeline.run_job jobs
+        Driver.Pool.map ~domains:o.domains Driver.Pipeline.run_job jobs
       in
       List.iter
         (fun (r : Driver.Pipeline.result) ->
@@ -662,14 +638,14 @@ let native_cache_stats : Sim.Native.stats option ref = ref None
    "compile once, serve many" store delivers to every later process.
    Every backend must agree on every observable — counters,
    mispredicts, output, exit code — or the section aborts. *)
-let backends_section () =
+let backends_section o =
   section "Execution backends: suite measure-stage wall clock (set I)";
-  let rows = rows_for Mopt.Switch_lower.set_i in
+  let rows = rows_for o Mopt.Switch_lower.set_i in
   let programs =
     List.concat_map
       (fun r ->
         let input =
-          truncate_input (Lazy.force r.workload.Workloads.Spec.test_input)
+          trim o (Lazy.force r.workload.Workloads.Spec.test_input)
         in
         [ (r.workload.Workloads.Spec.name ^ "/original",
            (orig r).Driver.Pipeline.v_program, input);
@@ -795,15 +771,15 @@ let backends_section () =
 (* (parallel wall, domains, sequential wall) of the set-I matrix *)
 let speedup_data : (float * int * float) option ref = ref None
 
-let speedup () =
+let speedup o =
   section "Harness: parallel (domains) vs sequential wall clock (set I)";
-  let d = domains () in
-  let _, par_wall = rows_with_wall Mopt.Switch_lower.set_i in
+  let d = o.domains in
+  let _, par_wall = rows_with_wall o Mopt.Switch_lower.set_i in
   let _, seq_wall =
     if d = 1 then
       (* the matrix already ran on one domain; don't run it twice *)
-      rows_with_wall Mopt.Switch_lower.set_i
-    else run_matrix Mopt.Switch_lower.set_i ~domains:1
+      rows_with_wall o Mopt.Switch_lower.set_i
+    else run_matrix o Mopt.Switch_lower.set_i ~domains:1
   in
   speedup_data := Some (par_wall, d, seq_wall);
   Printf.printf "cores (recommended domains): %d\n"
@@ -823,7 +799,7 @@ let write_file path json =
   close_out oc;
   Printf.printf "[bench] wrote %s\n" path
 
-let write_json ~harness_wall () =
+let write_json o ~path ~harness_wall =
   match Hashtbl.find_opt matrix Mopt.Switch_lower.set_i.Mopt.Switch_lower.hs_name with
   | None -> ()  (* no set-I rows were computed; nothing to record *)
   | Some (rows, matrix_wall) ->
@@ -938,17 +914,17 @@ let write_json ~harness_wall () =
           ("pipeline_seconds", flo r.seconds);
         ]
     in
-    write_file !json_path
+    write_file path
       (Json.Obj
          ([
             ("pr", int 6);
             ("heuristic_set", Json.Str "I");
-            ("fast", Json.Bool !fast);
+            ("fast", Json.Bool o.fast);
             ("cores", int (Domain.recommended_domain_count ()));
-            ("domains", int (domains ()));
+            ("domains", int o.domains);
             ("recommended_domains", int (Domain.recommended_domain_count ()));
             (* the pool never uses more domains than there are jobs *)
-            ("effective_domains", int (min (domains ()) (List.length rows)));
+            ("effective_domains", int (min o.domains (List.length rows)));
             ("harness_wall_seconds", flo harness_wall);
             ("matrix_wall_seconds", flo matrix_wall);
           ]
@@ -959,33 +935,20 @@ let write_json ~harness_wall () =
 (* Static profile: heuristic prediction vs the training run             *)
 (* ------------------------------------------------------------------ *)
 
-let static_json_path = ref "BENCH_PR9.json"
-
 (* per workload: (orig branches, reordered branches), [None] for a
    contained failure *)
-let profile_branch_rows profile =
-  let config =
-    {
-      Driver.Config.default with
-      Driver.Config.heuristic = Mopt.Switch_lower.set_i;
-      Driver.Config.verify = !verify;
-      Driver.Config.profile;
-    }
-  in
-  let jobs = jobs_for config in
+let profile_branch_rows o profile =
   Printf.eprintf
     "[bench] running the 17 workloads with --profile=%s (set I)...\n%!"
     (Driver.Config.profile_name profile);
-  let policy =
-    {
-      Driver.Guard.default with
-      Driver.Guard.timeout_ms = !timeout_ms;
-      retries = !retries;
-      degrade = true;
-    }
-  in
   let outcomes =
-    Driver.Pipeline.run_jobs_guarded ~domains:(domains ()) ~policy jobs
+    run_registry o ~domains:o.domains
+      {
+        Driver.Config.default with
+        Driver.Config.heuristic = Mopt.Switch_lower.set_i;
+        verify = o.verify;
+        profile;
+      }
   in
   List.map2
     (fun (w : Workloads.Spec.t) (o : Driver.Pipeline.job_outcome) ->
@@ -1014,7 +977,7 @@ let profile_branch_rows profile =
    dynamic conditional-branch reduction with a trained profile, with the
    pure static prediction, and with training backfilled by prediction —
    same workloads, same heuristic set, same pipeline *)
-let static_profile_section () =
+let static_profile_section o =
   section "Static profile: predicted vs trained branch reduction (set I)";
   (* `Trained is exactly the set-I matrix every other section uses *)
   let trained =
@@ -1024,10 +987,10 @@ let static_profile_section () =
           Some
             ( (counters_of (orig r)).Sim.Counters.cond_branches,
               (counters_of (reord r)).Sim.Counters.cond_branches ) ))
-      (rows_for Mopt.Switch_lower.set_i)
+      (rows_for o Mopt.Switch_lower.set_i)
   in
-  let static_rows = profile_branch_rows `Static in
-  let both_rows = profile_branch_rows `Both in
+  let static_rows = profile_branch_rows o `Static in
+  let both_rows = profile_branch_rows o `Both in
   let find name rows = Option.join (List.assoc_opt name rows) in
   let red = function
     | Some (o, n) when o > 0 -> Some (pct o n)
@@ -1073,7 +1036,9 @@ let static_profile_section () =
   Printf.printf
     "\n%d of %d workloads reach >= 50%% of the trained reduction statically\n"
     !at_half !compared;
-  if not !no_json then begin
+  match o.static_json with
+  | None -> ()
+  | Some path ->
     let num = function Some v -> Json.Float v | None -> Json.Null in
     let count = function Some (_, n) -> Json.Int n | None -> Json.Null in
     let workload (w : Workloads.Spec.t) =
@@ -1098,126 +1063,122 @@ let static_profile_section () =
           ("both_reduction_pct", num (red b));
         ]
     in
-    write_file !static_json_path
+    write_file path
       (Json.Obj
          [
            ("bench", Json.Str "static_profile");
            ("pr", Json.Int 9);
            ("heuristic_set", Json.Str "I");
-           ("fast", Json.Bool !fast);
+           ("fast", Json.Bool o.fast);
            ("workloads_at_half_trained", Json.Int !at_half);
            ("workloads_compared", Json.Int !compared);
            ("workloads", Json.Arr (List.map workload Workloads.Registry.all));
          ])
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Serving-shaped load: warm artifact caches vs the cold pipeline       *)
 (* ------------------------------------------------------------------ *)
 
-let serve_section () =
+let serve_section o =
   section "Serve: warm-cache replay vs per-request pipeline";
-  let requests = if !fast then 150 else 500 in
+  let requests = if o.fast then 150 else 500 in
   let workloads =
-    if !fast then Some [ "wc"; "grep"; "sort"; "awk" ] else None
+    if o.fast then Some [ "wc"; "grep"; "sort"; "awk" ] else None
   in
-  let o =
-    Driver.Replay.run ?workloads ~requests ~concurrency:(domains ())
+  let outcome =
+    Driver.Replay.run ?workloads ~requests ~concurrency:o.domains
       ~check_every:25
       ~progress:(fun m -> Printf.eprintf "[serve] %s\n%!" m)
       ()
   in
-  Printf.printf "%-28s %d ok / %d failed on %d domain(s)\n" "requests"
-    o.Driver.Replay.ro_ok o.Driver.Replay.ro_failed
-    o.Driver.Replay.ro_stats.Driver.Server.st_domains;
-  Printf.printf "%-28s %.1f req/s (p50 %.3f ms, p99 %.3f ms)\n"
-    "warm throughput" o.Driver.Replay.ro_throughput_rps
-    o.Driver.Replay.ro_p50_ms o.Driver.Replay.ro_p99_ms;
-  Printf.printf "%-28s %.2f ms/request (%.1f req/s)\n" "cold pipeline"
-    o.Driver.Replay.ro_cold_ms o.Driver.Replay.ro_cold_rps;
-  Printf.printf "%-28s %.1fx\n" "warm vs cold" o.Driver.Replay.ro_warm_ratio;
-  List.iter
-    (fun (s : Sim.Artifact.stats) ->
-      let total = s.Sim.Artifact.a_hits + s.Sim.Artifact.a_misses in
-      Printf.printf "%-28s %d/%d hit(s) (%.1f%%)\n"
-        ("cache " ^ s.Sim.Artifact.a_name)
-        s.Sim.Artifact.a_hits total
-        (if total = 0 then 0.
-         else 100. *. float_of_int s.Sim.Artifact.a_hits /. float_of_int total))
-    o.Driver.Replay.ro_stats.Driver.Server.st_caches;
-  Printf.printf "%-28s %d (checked %d, mismatches %d)\n" "drift re-opts"
-    o.Driver.Replay.ro_reopts o.Driver.Replay.ro_checked
-    o.Driver.Replay.ro_mismatches
+  print_string (Format.asprintf "%a" Driver.Replay.pp_outcome outcome)
 
 (* ------------------------------------------------------------------ *)
 
-let parse_args () =
-  let rec go = function
-    | [] -> ()
-    | "--fast" :: rest ->
-      fast := true;
-      go rest
-    | "--seq" :: rest ->
-      seq := true;
-      go rest
-    | "--verify" :: rest ->
-      verify := true;
-      go rest
-    | "--no-json" :: rest ->
-      no_json := true;
-      go rest
-    | ("-j" | "--jobs") :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 1 -> jobs_flag := Some n
-      | _ ->
-        prerr_endline "bench: -j expects a positive integer";
-        exit 2);
-      go rest
-    | "--timeout-ms" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 1 -> timeout_ms := Some n
-      | _ ->
-        prerr_endline "bench: --timeout-ms expects a positive integer";
-        exit 2);
-      go rest
-    | "--retries" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 0 -> retries := n
-      | _ ->
-        prerr_endline "bench: --retries expects a non-negative integer";
-        exit 2);
-      go rest
-    | "--json" :: path :: rest ->
-      json_path := path;
-      go rest
-    | "--static-json" :: path :: rest ->
-      static_json_path := path;
-      go rest
-    | s :: rest ->
-      sections := s :: !sections;
-      go rest
+let section_names =
+  [ "table3"; "table4"; "table5"; "table6"; "table7"; "bechamel"; "table8";
+    "figs"; "figures"; "detection"; "backends"; "speedup"; "serve"; "static";
+    "ablations" ]
+
+let main o =
+  let t0 = Unix.gettimeofday () in
+  if want o "table3" then table3 ();
+  if want o "table4" then table4 o;
+  if want o "table5" then table5 o;
+  if want o "table6" then table6 o;
+  if want o "table7" then table7 o;
+  if want o "bechamel" || want o "table7" then bechamel_table7 o;
+  if want o "table8" then table8 o;
+  if want o "figs" || want o "figures" then figures o;
+  if want o "detection" then detection ();
+  if want o "backends" then backends_section o;
+  if want o "speedup" then speedup o;
+  if want o "serve" then serve_section o;
+  if want o "static" then static_profile_section o;
+  (* ablations are opt-in: they re-run the pipeline many times *)
+  if List.mem "ablations" o.sections then ablations o;
+  let harness_wall = Unix.gettimeofday () -. t0 in
+  Option.iter (fun path -> write_json o ~path ~harness_wall) o.json;
+  Printf.printf "\n[bench] done in %.1fs on %d domain(s)\n" harness_wall
+    o.domains
+
+let opts =
+  let open Cmdliner in
+  let make fast domains verify policy no_json json static_json sections =
+    let unless_no_json path = if no_json then None else Some path in
+    {
+      fast;
+      domains;
+      verify;
+      policy;
+      json = unless_no_json json;
+      static_json = unless_no_json static_json;
+      sections;
+    }
   in
-  go (List.tl (Array.to_list Sys.argv))
+  let fast =
+    Arg.(
+      value & flag
+      & info [ "fast" ] ~doc:"Truncate every workload input to 6000 bytes.")
+  in
+  let no_json =
+    Arg.(value & flag & info [ "no-json" ] ~doc:"Write no JSON record.")
+  in
+  let json =
+    Arg.(
+      value & opt string "BENCH_PR6.json"
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:"Where to write the set-I matrix record.")
+  in
+  let static_json =
+    Arg.(
+      value & opt string "BENCH_PR9.json"
+      & info [ "static-json" ] ~docv:"FILE"
+          ~doc:"Where the $(b,static) section writes its record.")
+  in
+  let sections =
+    let names = List.map (fun s -> (s, s)) section_names in
+    Arg.(
+      value
+      & pos_all (enum names) []
+      & info [] ~docv:"SECTION"
+          ~doc:
+            (Printf.sprintf
+               "Sections to run (default: all but $(b,ablations)): %s."
+               (doc_alts_enum names)))
+  in
+  Term.(
+    const make $ fast $ Cli.jobs $ Cli.verify () $ Cli.policy $ no_json $ json
+    $ static_json $ sections)
 
 let () =
-  parse_args ();
-  let t0 = Unix.gettimeofday () in
-  if want "table3" then table3 ();
-  if want "table4" then table4 ();
-  if want "table5" then table5 ();
-  if want "table6" then table6 ();
-  if want "table7" then table7 ();
-  if want "bechamel" || want "table7" then bechamel_table7 ();
-  if want "table8" then table8 ();
-  if want "figs" || want "figures" then figures ();
-  if want "detection" then detection ();
-  if want "backends" then backends_section ();
-  if want "speedup" && not !seq then speedup ();
-  if want "serve" then serve_section ();
-  if want "static" then static_profile_section ();
-  (* ablations are opt-in: they re-run the pipeline many times *)
-  if List.mem "ablations" !sections then ablations ();
-  let harness_wall = Unix.gettimeofday () -. t0 in
-  if not !no_json then write_json ~harness_wall ();
-  Printf.printf "\n[bench] done in %.1fs on %d domain(s)\n" harness_wall
-    (domains ())
+  let open Cmdliner in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "bench"
+             ~doc:
+               "Regenerate the paper's evaluation tables and figures, plus \
+                the engine race, detection coverage, static-profile and \
+                serving sections.")
+          Term.(const main $ opts)))

@@ -12,7 +12,7 @@
                arm subsumption/overlap, not-reorderable explanations)
      dot       Graphviz CFGs, optionally annotated with dataflow facts
      workloads list the built-in benchmark programs
-     cache     inspect/prune the native artifact store and caches
+     cache     inspect/verify/prune the native artifact store
      serve     long-running optimization service (line protocol)
      replay    simulated production traffic against a server *)
 
@@ -23,24 +23,6 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let heuristic_of_string = function
-  | "I" | "i" | "1" -> Ok Mopt.Switch_lower.set_i
-  | "II" | "ii" | "2" -> Ok Mopt.Switch_lower.set_ii
-  | "III" | "iii" | "3" -> Ok Mopt.Switch_lower.set_iii
-  | s -> Error (`Msg (Printf.sprintf "unknown heuristic set %S (use I, II or III)" s))
-
-let heuristic_conv =
-  Arg.conv
-    ( heuristic_of_string,
-      fun ppf hs -> Format.pp_print_string ppf hs.Mopt.Switch_lower.hs_name )
-
-let heuristic_arg =
-  Arg.(
-    value
-    & opt heuristic_conv Mopt.Switch_lower.set_i
-    & info [ "h-set"; "heuristic" ] ~docv:"SET"
-        ~doc:"Switch translation heuristic set: I, II or III (paper Table 2).")
 
 let source_arg kind =
   Arg.(
@@ -133,7 +115,7 @@ let compile_cmd =
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile MiniC and dump the optimized MIR.")
-    Term.(const run $ source_arg "compile" $ heuristic_arg $ raw $ dot)
+    Term.(const run $ source_arg "compile" $ Cli.heuristic $ raw $ dot)
 
 let input_arg =
   Arg.(
@@ -147,19 +129,6 @@ let timings_arg =
     value & flag
     & info [ "timings" ]
         ~doc:"Report per-stage wall-clock times on stderr.")
-
-let backend_conv =
-  let parse s =
-    match Sim.Machine.backend_of_name s with
-    | Some b -> Ok b
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf
-             "unknown backend %S (use reference, compiled or native)" s))
-  in
-  let print ppf b = Format.pp_print_string ppf (Sim.Machine.backend_name b) in
-  Arg.conv (parse, print)
 
 let profile_conv =
   let parse s =
@@ -189,76 +158,7 @@ let profile_arg =
            $(b,both) (train, then backfill sequences the training input \
            never exercised with the static prediction).")
 
-(* the execution engine and the native artifact store as one term,
-   yielding {!Driver.Config.default} with its three engine fields set.
-   The store options are also applied process-wide, for Sim.Native
-   callers that do not thread a Config.  Unless [degrade] (commands that
-   walk their own degradation ladder), an unavailable native engine
-   warns and resolves to compiled instead of dying on Unavailable. *)
-let engine_term ?(degrade = false) () =
-  let backend =
-    Arg.(
-      value
-      & opt backend_conv `Compiled
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "Execution engine: $(b,reference) (MIR-walking oracle), \
-             $(b,compiled) (closure-threaded code) or $(b,native) (runtime \
-             OCaml codegen via ocamlfind + Dynlink; falls back to compiled \
-             when no toolchain is present).  All three are observably \
-             identical.")
-  in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "native-cache" ] ~docv:"DIR"
-          ~doc:
-            "Directory of the native backend's compiled-artifact store \
-             (default: $(b,BROMC_NATIVE_CACHE), else \
-             \\$XDG_CACHE_HOME/bromc/native).")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-native-cache" ]
-          ~doc:
-            "Do not read or write the on-disk artifact store; native code \
-             is rebuilt in a temporary directory and discarded (the \
-             in-process memo still applies).")
-  in
-  let make backend native_cache_dir no_cache =
-    (match native_cache_dir with
-    | Some _ -> Sim.Native.set_default_cache_dir native_cache_dir
-    | None -> ());
-    if no_cache then Sim.Native.set_default_use_cache false;
-    let backend =
-      match backend with
-      | `Native when (not degrade) && not (Sim.Native.available ()) ->
-        Printf.eprintf
-          "warning: native backend unavailable (no working ocamlfind/Dynlink \
-           toolchain); falling back to compiled\n%!";
-        `Compiled
-      | b -> b
-    in
-    {
-      Driver.Config.default with
-      Driver.Config.backend;
-      native_cache_dir;
-      native_cache = not no_cache;
-    }
-  in
-  Term.(const make $ backend $ cache_dir $ no_cache)
-
 let report_stage label seconds = Printf.eprintf "[time] %-8s %7.3fs\n" label seconds
-
-let verify_arg =
-  Arg.(
-    value & flag
-    & info [ "verify" ]
-        ~doc:
-          "Translation-validate every sequence rewrite (Check.Verify) right \
-           after the reordering pass; a rejected rewrite aborts the run.")
 
 let run_cmd =
   let run source hs input trace engine timings =
@@ -296,8 +196,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute a MiniC program on the simulator.")
     Term.(
-      const run $ source_arg "run" $ heuristic_arg $ input_arg $ trace
-      $ engine_term () $ timings_arg)
+      const run $ source_arg "run" $ Cli.heuristic $ input_arg $ trace
+      $ Cli.engine () $ timings_arg)
 
 let reorder_cmd =
   let run source hs train test exhaustive common_succ coalesce profile_layout
@@ -410,41 +310,13 @@ let reorder_cmd =
     (Cmd.info "reorder"
        ~doc:"Run the full profile-guided reordering pipeline and report.")
     Term.(
-      const run $ source_arg "reorder" $ heuristic_arg $ train $ test
+      const run $ source_arg "reorder" $ Cli.heuristic $ train $ test
       $ exhaustive $ common_succ $ coalesce $ profile_layout $ profile_arg
-      $ engine_term () $ timings_arg $ verify_arg)
-
-(* flags shared by the fault-tolerant commands (suite, fuzz, bench) *)
-let timeout_ms_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "timeout-ms" ] ~docv:"MS"
-        ~doc:
-          "Per-attempt wall-clock watchdog: a run exceeding $(docv) is \
-           cancelled at the next basic block and reported as a timeout.")
-
-let retries_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Retry a crashed job up to $(docv) extra times with seeded \
-           exponential backoff before giving up (traps and timeouts are \
-           deterministic and never retried).")
-
-let failures_json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "failures-json" ] ~docv:"FILE"
-        ~doc:
-          "Write a machine-readable manifest (one JSON object per line, \
-           flushed incrementally) recording every job's outcome to $(docv).")
+      $ Cli.engine () $ timings_arg $ Cli.verify ())
 
 let suite_cmd =
-  let run hs jobs engine verify profile names timeout_ms retries
-      failures_json inject_n inject_seed no_degrade =
+  let run hs domains engine verify profile names policy failures_json
+      inject_n inject_seed no_degrade =
     handle_errors (fun () ->
         let workloads =
           match names with
@@ -454,31 +326,13 @@ let suite_cmd =
         let config =
           { engine with Driver.Config.heuristic = hs; verify; profile }
         in
-        (* force the lazy inputs in this domain before fanning out *)
-        let jobs_list =
-          List.map
-            (fun (w : Workloads.Spec.t) ->
-              Driver.Pipeline.job ~config ~name:w.Workloads.Spec.name
-                ~source:w.Workloads.Spec.source
-                ~training_input:(Lazy.force w.Workloads.Spec.training_input)
-                ~test_input:(Lazy.force w.Workloads.Spec.test_input)
-                ())
-            workloads
-        in
-        let domains =
-          max 1
-            (match jobs with
-            | Some j -> j
-            | None -> Driver.Pool.default_domains ())
-        in
+        let jobs_list = Cli.workload_jobs ~config workloads in
         (* every job runs to a structured outcome; failures cannot
            abort or disturb siblings *)
         let policy =
           {
-            Driver.Guard.default with
-            Driver.Guard.timeout_ms;
-            retries;
-            seed = inject_seed;
+            policy with
+            Driver.Guard.seed = inject_seed;
             degrade = not no_degrade;
           }
         in
@@ -597,15 +451,6 @@ let suite_cmd =
         end
         else if failed > 0 then exit 1)
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Number of domains to fan pipelines across (default: the \
-             machine's recommended domain count, or \\$(b,BROMC_DOMAINS)).")
-  in
   let names =
     Arg.(
       value & pos_all string []
@@ -648,9 +493,9 @@ let suite_cmd =
           crashes, traps and timeouts are contained per job and reported \
           together (see $(b,--timeout-ms), $(b,--retries), $(b,--inject)).")
     Term.(
-      const run $ heuristic_arg $ jobs $ engine_term ~degrade:true ()
-      $ verify_arg $ profile_arg $ names $ timeout_ms_arg
-      $ retries_arg $ failures_json_arg $ inject_n $ inject_seed $ no_degrade)
+      const run $ Cli.heuristic $ Cli.jobs $ Cli.engine ~degrade:true ()
+      $ Cli.verify () $ profile_arg $ names $ Cli.policy $ Cli.failures_json
+      $ inject_n $ inject_seed $ no_degrade)
 
 (* trained/static only: `Both is a pipeline notion (train + backfill);
    the per-case fuzz and corpus harnesses have exactly one counts
@@ -682,15 +527,9 @@ let profile2_arg =
            heuristic prediction; no training run).")
 
 let fuzz_cmd =
-  let run cases seed backend native inject profile save_failure corpus_dir
-      quiet failures_json resume timeout_ms =
+  let run cases seed backends inject profile save_failure corpus_dir quiet
+      failures_json resume timeout_ms =
     handle_errors (fun () ->
-        let backends =
-          match (backend, native) with
-          | Some b, _ -> [ b ]
-          | None, true -> Check.Fuzz.all_backends ()
-          | None, false -> Check.Fuzz.default_backends
-        in
         let log = if quiet then ignore else fun m -> Printf.eprintf "%s\n%!" m in
         (* resume: cases already green in a previous (possibly killed)
            run's manifest are skipped, and their entries carried forward *)
@@ -782,24 +621,6 @@ let fuzz_cmd =
       & info [ "seed" ] ~docv:"S"
           ~doc:"PRNG seed; runs are deterministic in the seed.")
   in
-  let backend_opt =
-    Arg.(
-      value
-      & opt (some backend_conv) None
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            "Restrict differential execution to one engine (default: race \
-             reference and compiled against each other).")
-  in
-  let native =
-    Arg.(
-      value & flag
-      & info [ "native" ]
-          ~doc:
-            "Also race the native backend in every differential (slow: one \
-             out-of-process compile per generated program; skipped with a \
-             note when no toolchain is available).")
-  in
   let inject =
     Arg.(
       value & flag
@@ -854,9 +675,9 @@ let fuzz_cmd =
           an earlier manifest already proved green; $(b,--timeout-ms) arms a \
           per-case watchdog.")
     Term.(
-      const run $ cases $ seed $ backend_opt $ native $ inject $ profile2_arg
-      $ save_failure $ corpus_dir $ quiet $ failures_json_arg $ resume
-      $ timeout_ms_arg)
+      const run $ cases $ seed $ Cli.engines $ inject $ profile2_arg
+      $ save_failure $ corpus_dir $ quiet $ Cli.failures_json $ resume
+      $ Cli.timeout_ms)
 
 let lint_cmd =
   let run source hs json no_explain facts divergence input =
@@ -980,7 +801,7 @@ let lint_cmd =
           tests are not reorderable.  Exit code 0 = clean, 1 = \
           diagnostics reported, 2 = error.")
     Term.(
-      const run $ source_arg "lint" $ heuristic_arg $ json $ no_explain
+      const run $ source_arg "lint" $ Cli.heuristic $ json $ no_explain
       $ facts $ divergence $ input)
 
 let dot_cmd =
@@ -1096,7 +917,7 @@ let dot_cmd =
        ~doc:
          "Emit Graphviz CFGs for a program, optionally annotated with \
           dataflow analysis facts.")
-    Term.(const run $ source_arg "render" $ heuristic_arg $ facts)
+    Term.(const run $ source_arg "render" $ Cli.heuristic $ facts)
 
 let workloads_cmd =
   let run () =
@@ -1137,11 +958,7 @@ let cache_cmd =
         else if clear then begin
           let n = Sim.Native.Cache.clear ~dir () in
           Sim.Native.clear_memo ();
-          let dropped = Sim.Artifact.clear_registered () in
-          Printf.printf "cleared %d file(s) from %s" n dir;
-          if dropped > 0 then
-            Printf.printf " and %d in-process artifact(s)" dropped;
-          print_newline ()
+          Printf.printf "cleared %d file(s) from %s\n" n dir
         end
         else if evict_stale then begin
           match Sim.Native.Cache.fingerprint () with
@@ -1175,27 +992,7 @@ let cache_cmd =
           Printf.printf
             "memo:        %d entry(ies), cap %d, %d hit(s), %d eviction(s)\n"
             ns.Sim.Native.memo_entries ns.Sim.Native.memo_capacity
-            ns.Sim.Native.memo_hits ns.Sim.Native.memo_evictions;
-          (* the MIR / image / closure artifact caches are in-process
-             state of a serving daemon; a fresh CLI invocation has none.
-             the serve protocol's [stats] request reports the live
-             numbers *)
-          match Sim.Artifact.registered_stats () with
-          | [] ->
-            print_string
-              "artifacts:   (none in this process; query a running \
-               `bromc serve` with its `stats` request)\n"
-          | regs ->
-            List.iter
-              (fun (s : Sim.Artifact.stats) ->
-                Printf.printf
-                  "artifacts:   %-8s %4d entry(ies) cap %d, %d hit(s), %d \
-                   miss(es), %d build(s), %d eviction(s)\n"
-                  s.Sim.Artifact.a_name s.Sim.Artifact.a_entries
-                  s.Sim.Artifact.a_capacity s.Sim.Artifact.a_hits
-                  s.Sim.Artifact.a_misses s.Sim.Artifact.a_builds
-                  s.Sim.Artifact.a_evictions)
-              regs
+            ns.Sim.Native.memo_hits ns.Sim.Native.memo_evictions
         end)
   in
   let dir =
@@ -1220,14 +1017,13 @@ let cache_cmd =
              upgrades); the current fingerprint's artifacts are kept.")
   in
   let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ]
-          ~doc:
-            "Digest every cached artifact against its $(b,.sum) checksum \
-             sidecar; mismatches are quarantined (rebuilt on next use) and \
-             reported with a non-zero exit, artifacts predating checksums \
-             get a sidecar written.")
+    Cli.verify
+      ~doc:
+        "Digest every cached artifact against its $(b,.sum) checksum \
+         sidecar; mismatches are quarantined (rebuilt on next use) and \
+         reported with a non-zero exit, artifacts predating checksums get a \
+         sidecar written."
+      ()
   in
   Cmd.v
     (Cmd.info "cache"
@@ -1239,56 +1035,6 @@ let cache_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve: the long-running optimization service                        *)
 (* ------------------------------------------------------------------ *)
-
-let server_stats_json (st : Driver.Server.stats) =
-  let ns = st.Driver.Server.st_native and int n = Json.Int n in
-  Json.to_string
-    (Json.Obj
-       [
-         ("requests", int st.Driver.Server.st_requests);
-         ("cold", int st.Driver.Server.st_cold);
-         ("shadow_runs", int st.Driver.Server.st_shadow_runs);
-         ("merges", int st.Driver.Server.st_merges);
-         ("reopts", int st.Driver.Server.st_reopts);
-         ("domains", int st.Driver.Server.st_domains);
-         ( "caches",
-           Json.Arr
-             (List.map
-                (fun (s : Sim.Artifact.stats) ->
-                  Json.Obj
-                    [
-                      ("name", Json.Str s.Sim.Artifact.a_name);
-                      ("entries", int s.Sim.Artifact.a_entries);
-                      ("hits", int s.Sim.Artifact.a_hits);
-                      ("misses", int s.Sim.Artifact.a_misses);
-                      ("builds", int s.Sim.Artifact.a_builds);
-                      ("evictions", int s.Sim.Artifact.a_evictions);
-                    ])
-                st.Driver.Server.st_caches) );
-         ( "native",
-           Json.Obj
-             [
-               ("memo_hits", int ns.Sim.Native.memo_hits);
-               ("disk_hits", int ns.Sim.Native.disk_hits);
-               ("compiles", int ns.Sim.Native.compiles);
-               ("memo_entries", int ns.Sim.Native.memo_entries);
-               ("memo_evictions", int ns.Sim.Native.memo_evictions);
-               ("quarantined", int ns.Sim.Native.quarantined);
-             ] );
-         ("overloaded", int st.Driver.Server.st_overloaded);
-         ("restored", int st.Driver.Server.st_restored);
-         ( "programs",
-           Json.Arr
-             (List.map
-                (fun (name, gen, execs) ->
-                  Json.Obj
-                    [
-                      ("name", Json.Str name);
-                      ("generation", int gen);
-                      ("executions", int execs);
-                    ])
-                st.Driver.Server.st_programs) );
-       ])
 
 let domains_arg =
   Arg.(
@@ -1427,7 +1173,11 @@ let serve_cmd =
               Driver.Server.sync srv;
               print_line "synced"
             | [ "stats" ] ->
-              print_line ("stats " ^ server_stats_json (Driver.Server.stats srv))
+              print_line
+                ("stats "
+                ^ Json.to_string
+                    (Json.Obj
+                       (Driver.Server.stats_fields (Driver.Server.stats srv))))
             | "run" :: name :: rest -> (
               let seed =
                 match rest with
@@ -1487,7 +1237,7 @@ let serve_cmd =
           optional third argument, a per-request deadline in milliseconds.")
     Term.(
       const run $ domains_arg $ sample_every_arg $ merge_every_arg
-      $ drift_min_execs_arg 32 $ engine_term () $ profile_arg
+      $ drift_min_execs_arg 32 $ Cli.engine () $ profile_arg
       $ state_dir_arg $ queue_cap_arg $ snapshot_every_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1513,62 +1263,7 @@ let replay_cmd =
             ~drift:(not no_drift) ~sample_every ~merge_every ~drift_min_execs
             ~check_every ~chaos ~chaos_seed ?state_dir ?progress ()
         in
-        Printf.printf "requests:    %d ok, %d failed (%d domains)\n"
-          o.Driver.Replay.ro_ok o.Driver.Replay.ro_failed
-          o.Driver.Replay.ro_stats.Driver.Server.st_domains;
-        Printf.printf "throughput:  %.1f req/s over %.2fs\n"
-          o.Driver.Replay.ro_throughput_rps o.Driver.Replay.ro_elapsed_s;
-        Printf.printf "latency:     p50 %.3f ms, p99 %.3f ms\n"
-          o.Driver.Replay.ro_p50_ms o.Driver.Replay.ro_p99_ms;
-        Printf.printf "cold:        %.2f ms/request (%.1f req/s)\n"
-          o.Driver.Replay.ro_cold_ms o.Driver.Replay.ro_cold_rps;
-        Printf.printf "warm/cold:   %.1fx\n" o.Driver.Replay.ro_warm_ratio;
-        List.iter
-          (fun (s : Sim.Artifact.stats) ->
-            let total = s.Sim.Artifact.a_hits + s.Sim.Artifact.a_misses in
-            Printf.printf
-              "cache %-9s %d hit(s) / %d request(s) (%.1f%%), %d build(s)\n"
-              (s.Sim.Artifact.a_name ^ ":")
-              s.Sim.Artifact.a_hits total
-              (if total = 0 then 0.
-               else 100. *. float_of_int s.Sim.Artifact.a_hits /. float_of_int total)
-              s.Sim.Artifact.a_builds)
-          o.Driver.Replay.ro_stats.Driver.Server.st_caches;
-        Printf.printf "profiles:    %d shadow run(s), %d merge(s)\n"
-          o.Driver.Replay.ro_stats.Driver.Server.st_shadow_runs
-          o.Driver.Replay.ro_stats.Driver.Server.st_merges;
-        Printf.printf "re-opts:     %d\n" o.Driver.Replay.ro_reopts;
-        List.iter
-          (fun (e : Driver.Server.reopt_event) ->
-            Printf.printf
-              "  %s: generation %d at %d profiled execution(s)\n"
-              e.Driver.Server.re_program e.Driver.Server.re_generation
-              e.Driver.Server.re_executions)
-          o.Driver.Replay.ro_events;
-        Printf.printf "checked:     %d against the reference oracle, %d \
-                       mismatch(es)\n"
-          o.Driver.Replay.ro_checked o.Driver.Replay.ro_mismatches;
-        if o.Driver.Replay.ro_chaos_planned > 0 then begin
-          Printf.printf
-            "chaos:       %d fault(s): %d ok, %d failed cleanly, %d \
-             vacuous, %d escape(s)\n"
-            o.Driver.Replay.ro_chaos_planned o.Driver.Replay.ro_chaos_ok
-            o.Driver.Replay.ro_chaos_failed o.Driver.Replay.ro_chaos_vacuous
-            o.Driver.Replay.ro_chaos_escapes;
-          List.iter
-            (fun (f : Driver.Replay.fault_report) ->
-              Printf.printf "  request %d: %s -> %s\n"
-                f.Driver.Replay.rf_request f.Driver.Replay.rf_kind
-                f.Driver.Replay.rf_outcome)
-            o.Driver.Replay.ro_chaos_faults
-        end;
-        if o.Driver.Replay.ro_crash_restarts > 0 then
-          Printf.printf
-            "durability:  %d crash-restart(s), %d program(s) restored, \
-             restore %s\n"
-            o.Driver.Replay.ro_crash_restarts o.Driver.Replay.ro_restored
-            (if o.Driver.Replay.ro_restore_exact then "exact"
-             else "NOT exact");
+        print_string (Format.asprintf "%a" Driver.Replay.pp_outcome o);
         (match json_path with
         | Some path ->
           Driver.Replay.write_json ~path o;
@@ -1665,7 +1360,7 @@ let replay_cmd =
     Term.(
       const run $ requests $ concurrency $ workloads $ seed $ no_drift
       $ sample_every_arg $ merge_every_arg $ drift_min_execs_arg 64
-      $ check_every $ json_path $ quiet $ engine_term () $ chaos $ chaos_seed
+      $ check_every $ json_path $ quiet $ Cli.engine () $ chaos $ chaos_seed
       $ state_dir_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1910,14 +1605,8 @@ let bench_gate_cmd =
       const run $ history_arg $ against $ max_regress $ head_label $ quiet)
 
 let bench_corpus_cmd =
-  let run dir backend native profile mint_inject seed cases quiet =
+  let run dir backends profile mint_inject seed cases quiet =
     handle_errors (fun () ->
-        let backends =
-          match (backend, native) with
-          | Some b, _ -> [ b ]
-          | None, true -> Check.Fuzz.all_backends ()
-          | None, false -> Check.Fuzz.default_backends
-        in
         (match mint_inject with
         | Some n ->
           let repros =
@@ -1960,22 +1649,6 @@ let bench_corpus_cmd =
       value & opt string "corpus"
       & info [ "dir" ] ~docv:"DIR" ~doc:"The repro corpus directory.")
   in
-  let backend_opt =
-    Arg.(
-      value
-      & opt (some backend_conv) None
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"Replay under one engine only (default: race the two \
-                in-process engines).")
-  in
-  let native =
-    Arg.(
-      value & flag
-      & info [ "native" ]
-          ~doc:
-            "Also race the native backend (skipped when no toolchain is \
-             available).")
-  in
   let mint_inject =
     Arg.(
       value
@@ -2013,7 +1686,7 @@ let bench_corpus_cmd =
           $(b,--profile=static) the repros replay under the profile-free \
           prediction instead of their recorded training runs.")
     Term.(
-      const run $ dir $ backend_opt $ native $ profile2_arg $ mint_inject
+      const run $ dir $ Cli.engines $ profile2_arg $ mint_inject
       $ seed $ cases $ quiet)
 
 let bench_cmd =

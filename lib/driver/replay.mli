@@ -119,6 +119,12 @@ val run :
     dir (certified exact in [ro_restore_exact]), and wave 2 resumes on
     it.  Restart time is excluded from [ro_elapsed_s]. *)
 
+val pp_outcome : Format.formatter -> outcome -> unit
+(** The text report of a replay: requests, throughput, latency, cold
+    baseline, per-cache hit rates, profile merges, re-optimizations,
+    the oracle tally, and the chaos and durability verdicts when those
+    ran.  [bromc replay] and the bench [serve] section print it. *)
+
 val write_json : path:string -> outcome -> unit
 (** Write the bench record ([BENCH_PR7.json], [BENCH_PR10.json]):
     parameters, throughput and latency, per-cache

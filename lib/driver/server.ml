@@ -704,6 +704,59 @@ let stats t =
         (entries t);
   }
 
+let stats_fields st =
+  let obj fields = Json.Obj fields and int n = Json.Int n in
+  let ns = st.st_native in
+  [
+    ("requests", int st.st_requests);
+    ("cold", int st.st_cold);
+    ("shadow_runs", int st.st_shadow_runs);
+    ("merges", int st.st_merges);
+    ("reopts", int st.st_reopts);
+    ("domains", int st.st_domains);
+    ( "caches",
+      Json.Arr
+        (List.map
+           (fun (s : Sim.Artifact.stats) ->
+             obj
+               [
+                 ("name", Json.Str s.Sim.Artifact.a_name);
+                 ("entries", int s.Sim.Artifact.a_entries);
+                 ("capacity", int s.Sim.Artifact.a_capacity);
+                 ("hits", int s.Sim.Artifact.a_hits);
+                 ("misses", int s.Sim.Artifact.a_misses);
+                 ("builds", int s.Sim.Artifact.a_builds);
+                 ("evictions", int s.Sim.Artifact.a_evictions);
+                 ("failures", int s.Sim.Artifact.a_failures);
+               ])
+           st.st_caches) );
+    ( "native",
+      obj
+        [
+          ("memo_hits", int ns.Sim.Native.memo_hits);
+          ("disk_hits", int ns.Sim.Native.disk_hits);
+          ("misses", int ns.Sim.Native.misses);
+          ("compiles", int ns.Sim.Native.compiles);
+          ("memo_evictions", int ns.Sim.Native.memo_evictions);
+          ("memo_entries", int ns.Sim.Native.memo_entries);
+          ("memo_capacity", int ns.Sim.Native.memo_capacity);
+          ("quarantined", int ns.Sim.Native.quarantined);
+        ] );
+    ("overloaded", int st.st_overloaded);
+    ("restored", int st.st_restored);
+    ( "programs",
+      Json.Arr
+        (List.map
+           (fun (name, gen, execs) ->
+             obj
+               [
+                 ("name", Json.Str name);
+                 ("generation", int gen);
+                 ("executions", int execs);
+               ])
+           st.st_programs) );
+  ]
+
 let reopt_events t =
   Mutex.lock t.events_lock;
   let es = !(t.events) in

@@ -170,6 +170,12 @@ val sync : t -> unit
     loses nothing learned before it. *)
 
 val stats : t -> stats
+
+val stats_fields : stats -> (string * Json.t) list
+(** The one JSON encoding of {!stats} (every field but
+    [st_mispredicts]), as the members of an object: the [serve]
+    protocol's [stats] line and the replay record both write it. *)
+
 val reopt_events : t -> reopt_event list
 (** Re-optimizations so far, oldest first. *)
 

@@ -13,10 +13,8 @@
     cache's reference to the artifact (the GC reclaims it once the last
     user lets go) and is counted in {!stats}.
 
-    Every cache created with {!create} is also registered in a global
-    process-local registry so diagnostic surfaces ([bromc cache stats],
-    the serve protocol's [stats] request) can enumerate the caches that
-    exist in this process without threading handles around. *)
+    Nothing outside the cache's owner refers to it: a dropped cache is
+    collected together with every artifact it holds. *)
 
 type 'a t
 
@@ -34,8 +32,7 @@ type stats = {
 }
 
 val create : ?capacity:int -> name:string -> unit -> 'a t
-(** [create ~name ()] makes an empty cache and registers it for
-    {!registered_stats}.  [capacity] bounds resident entries (least
+(** [create ~name ()] makes an empty cache.  [capacity] bounds resident entries (least
     recently used evicted first); 0 (the default) means unbounded. *)
 
 val find_or_build : 'a t -> string -> (unit -> 'a) -> 'a
@@ -52,15 +49,5 @@ val find : 'a t -> string -> 'a option
 val remove : 'a t -> string -> unit
 (** Drop a key if resident.  In-flight builds are not interrupted. *)
 
-val clear : 'a t -> int
-(** Drop every resident artifact; returns how many were dropped.
-    Counters are kept (they describe the process, not the contents). *)
-
 val stats : 'a t -> stats
-val name : 'a t -> string
 
-val registered_stats : unit -> stats list
-(** Stats for every cache created in this process, in creation order. *)
-
-val clear_registered : unit -> int
-(** {!clear} every registered cache; returns total artifacts dropped. *)

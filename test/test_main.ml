@@ -29,4 +29,5 @@ let () =
       ("bench-db", Test_bench_db.suite);
       ("static", Test_static.suite);
       ("json", Test_json.suite);
+      ("cli", Test_cli.suite);
     ]

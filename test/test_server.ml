@@ -398,6 +398,22 @@ let test_server_guard_contains_trap () =
       check_output "service alive after the trap" "ok"
         ok.Driver.Server.rs_status)
 
+(* Nothing outside a cache's owner refers to it: once dropped, the
+   cache and the artifacts it holds are garbage (a process-wide
+   registry used to keep every server's caches alive). *)
+let test_artifact_dropped_cache_collected () =
+  let slot = Weak.create 1 in
+  let[@inline never] fill () =
+    let cache : string Sim.Artifact.t =
+      Sim.Artifact.create ~name:"t-dropped" ()
+    in
+    ignore (Sim.Artifact.find_or_build cache "k" (fun () -> "artifact"));
+    Weak.set slot 0 (Some cache)
+  in
+  fill ();
+  Gc.full_major ();
+  check_bool "dropped cache collected" false (Weak.check slot 0)
+
 (* ---------------------------------------------------------------- *)
 (* Replay                                                            *)
 (* ---------------------------------------------------------------- *)
@@ -426,6 +442,66 @@ let test_replay_smoke () =
   let st = outcome.Driver.Replay.ro_stats in
   check_bool "warm requests dominated" true
     (st.Driver.Server.st_requests > st.Driver.Server.st_cold)
+
+(* The replay record and the serve [stats] line share one encoder of
+   Server.stats.  A fresh record must lift into every metric the
+   committed BENCH_PR7.json lifts into (plus the chaos and durability
+   verdicts PR7 predates), and the stats object must carry every key
+   the CI daemon and chaos smoke checks read. *)
+let test_replay_record_and_stats_keys () =
+  let outcome =
+    Driver.Replay.run ~workloads:[ "wc" ] ~requests:12 ~concurrency:1 ~seed:3
+      ~check_every:4 ()
+  in
+  let st = outcome.Driver.Replay.ro_stats in
+  let path = Filename.temp_file "bromc_replay" ".json" in
+  let fresh =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Driver.Replay.write_json ~path outcome;
+        match Bench_db.Import.of_file ~seq:7 path with
+        | Ok r -> r.Bench_db.Record.r_metrics
+        | Error m -> Alcotest.fail m)
+  in
+  let committed =
+    match Bench_db.Import.of_file "../BENCH_PR7.json" with
+    | Ok r -> r.Bench_db.Record.r_metrics
+    | Error m -> Alcotest.fail m
+  in
+  let names ms =
+    List.sort compare (List.map (fun m -> m.Bench_db.Record.m_name) ms)
+  in
+  Alcotest.(check (list string))
+    "fresh metrics = PR7 metrics + chaos/durability verdicts"
+    (names committed
+    @ [ "serve.chaos_escapes"; "serve.chaos_faults"; "serve.restore_exact";
+        "serve.restored" ]
+    |> List.sort compare)
+    (names fresh);
+  let value name =
+    (List.find (fun m -> m.Bench_db.Record.m_name = name) fresh)
+      .Bench_db.Record.m_value
+  in
+  Alcotest.(check (float 0.)) "server.reopts lifted"
+    (float_of_int st.Driver.Server.st_reopts) (value "serve.reopts");
+  let hits = (cache_stat st "programs").Sim.Artifact.a_hits
+  and misses = (cache_stat st "programs").Sim.Artifact.a_misses in
+  Alcotest.(check (float 1e-9)) "program cache hit rate lifted"
+    (100. *. float_of_int hits /. float_of_int (hits + misses))
+    (value "serve.program_cache_hit_pct");
+  let line =
+    Json.parse (Json.to_string (Json.Obj (Driver.Server.stats_fields st)))
+  in
+  let has keys j = List.for_all (fun k -> Json.member k j <> None) keys in
+  let items key = Option.get (Option.bind (Json.member key line) Json.arr) in
+  check_bool "stats: top-level keys" true
+    (has [ "requests"; "restored"; "caches"; "programs" ] line);
+  check_bool "stats: per-cache keys" true
+    (List.for_all (has [ "name"; "hits"; "builds" ]) (items "caches"));
+  check_bool "stats: per-program keys" true
+    (items "programs" <> []
+    && List.for_all (has [ "name"; "executions" ]) (items "programs"))
 
 (* Satellite: LRU eviction racing single-flight builds.  Domains hammer
    a capacity-1 cache with interleaved keys, so entries are evicted
@@ -724,6 +800,8 @@ let suite =
     case "artifact: single-flight across domains" test_artifact_single_flight;
     case "artifact: LRU eviction under capacity" test_artifact_lru_eviction;
     case "artifact: failed build leaves key cold" test_artifact_failed_build_retries;
+    case "artifact: a dropped cache is collected"
+      test_artifact_dropped_cache_collected;
     case "profile: shard absorb moves counts once" test_profile_shard_absorb;
     case "predictor: bank absorb merges telemetry" test_bank_absorb;
     case "pool: workers run, drain, shut down" test_workers_run_and_shutdown;
@@ -749,6 +827,8 @@ let suite =
     slow_case "replay: mixed traffic, oracle-checked" test_replay_smoke;
     slow_case "replay: chaos matrix certified, zero escapes"
       test_replay_chaos_certification;
+    slow_case "replay: record and stats keep what importer and CI read"
+      test_replay_record_and_stats_keys;
     case "replay: unknown workload rejected" test_replay_rejects_unknown_workload;
     case "replay: input slices" test_input_slice;
   ]
