@@ -18,6 +18,7 @@ let () =
       ("workloads", Test_workloads.suite);
       ("workload-behaviour", Test_workload_behaviour.suite);
       ("driver", Test_driver.suite);
+      ("counts", Test_counts.suite);
       ("properties", Test_properties.suite);
       ("check", Test_check.suite);
       ("edge-cases", Test_edge_cases.suite);
