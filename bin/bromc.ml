@@ -957,7 +957,6 @@ let cache_cmd =
         end
         else if clear then begin
           let n = Sim.Native.Cache.clear ~dir () in
-          Sim.Native.clear_memo ();
           Printf.printf "cleared %d file(s) from %s\n" n dir
         end
         else if evict_stale then begin
@@ -987,12 +986,7 @@ let cache_cmd =
                   e.Sim.Native.Cache.e_fingerprint e.Sim.Native.Cache.e_files
                   e.Sim.Native.Cache.e_bytes
                   (if e.Sim.Native.Cache.e_current then "  (current)" else ""))
-              entries;
-          let ns = Sim.Native.stats () in
-          Printf.printf
-            "memo:        %d entry(ies), cap %d, %d hit(s), %d eviction(s)\n"
-            ns.Sim.Native.memo_entries ns.Sim.Native.memo_capacity
-            ns.Sim.Native.memo_hits ns.Sim.Native.memo_evictions
+              entries
         end)
   in
   let dir =

@@ -600,34 +600,45 @@ let write_json ~path (o : outcome) =
         ("server", obj server);
       ]
       @ top
+      (* chaos and durability appear exactly when the report prints
+         them: Bench_db.Import files a record with "chaos" under the
+         serve-chaos context, so a clean run must not carry one *)
+      @ (if o.ro_chaos_planned > 0 then
+           [
+             ( "chaos",
+               obj
+                 [
+                   ("planned", int o.ro_chaos_planned);
+                   ("ok", int o.ro_chaos_ok);
+                   ("failed", int o.ro_chaos_failed);
+                   ("vacuous", int o.ro_chaos_vacuous);
+                   ("escapes", int o.ro_chaos_escapes);
+                   ( "faults",
+                     Json.Arr
+                       (List.map
+                          (fun f ->
+                            obj
+                              [
+                                ("request", int f.rf_request);
+                                ("kind", Json.Str f.rf_kind);
+                                ("outcome", Json.Str f.rf_outcome);
+                              ])
+                          o.ro_chaos_faults) );
+                 ] );
+           ]
+         else [])
+      @ (if o.ro_crash_restarts > 0 then
+           [
+             ( "durability",
+               obj
+                 [
+                   ("crash_restarts", int o.ro_crash_restarts);
+                   ("restored", int o.ro_restored);
+                   ("restore_exact", Json.Bool o.ro_restore_exact);
+                 ] );
+           ]
+         else [])
       @ [
-        ( "chaos",
-          obj
-            [
-              ("planned", int o.ro_chaos_planned);
-              ("ok", int o.ro_chaos_ok);
-              ("failed", int o.ro_chaos_failed);
-              ("vacuous", int o.ro_chaos_vacuous);
-              ("escapes", int o.ro_chaos_escapes);
-              ( "faults",
-                Json.Arr
-                  (List.map
-                     (fun f ->
-                       obj
-                         [
-                           ("request", int f.rf_request);
-                           ("kind", Json.Str f.rf_kind);
-                           ("outcome", Json.Str f.rf_outcome);
-                         ])
-                     o.ro_chaos_faults) );
-            ] );
-        ( "durability",
-          obj
-            [
-              ("crash_restarts", int o.ro_crash_restarts);
-              ("restored", int o.ro_restored);
-              ("restore_exact", Json.Bool o.ro_restore_exact);
-            ] );
         ( "reopt_events",
           Json.Arr
             (List.map

@@ -1,17 +1,107 @@
+(* Flat constant lattice per register.  A register absent from a
+   [Reached] map holds its entry value (0, or [Nac] for a parameter);
+   maps are kept canonical by never storing that value, so two states
+   are equal exactly when their maps are. *)
+type value = Const of int | Nac
+
+type state = Unreached | Reached of value Mir.Reg.Map.t
+
+let equal_value a b =
+  match (a, b) with
+  | Const x, Const y -> x = y
+  | Nac, Nac -> true
+  | _ -> false
+
+let join_value a b = if equal_value a b then a else Nac
+
+let analyze (fn : Mir.Func.t) =
+  let params = Mir.Reg.Set.of_list fn.Mir.Func.params in
+  let entry r = if Mir.Reg.Set.mem r params then Nac else Const 0 in
+  let get m r =
+    match Mir.Reg.Map.find_opt r m with Some v -> v | None -> entry r
+  in
+  let set r v m =
+    if equal_value v (entry r) then Mir.Reg.Map.remove r m
+    else Mir.Reg.Map.add r v m
+  in
+  let join a b =
+    match (a, b) with
+    | Unreached, x | x, Unreached -> x
+    | Reached a, Reached b ->
+      Reached
+        (Mir.Reg.Map.merge
+           (fun r x y ->
+             let value = Option.value ~default:(entry r) in
+             let v = join_value (value x) (value y) in
+             if equal_value v (entry r) then None else Some v)
+           a b)
+  in
+  let equal a b =
+    match (a, b) with
+    | Unreached, Unreached -> true
+    | Reached a, Reached b -> Mir.Reg.Map.equal equal_value a b
+    | _ -> false
+  in
+  (* only [Mov r, #c] makes a constant that crosses a block boundary *)
+  let def m insn =
+    List.fold_left
+      (fun m r ->
+        let v =
+          match insn with
+          | Mir.Insn.Mov (r', Mir.Operand.Imm c) when Mir.Reg.equal r r' ->
+            Const c
+          | _ -> Nac
+        in
+        set r v m)
+      m (Mir.Insn.defs insn)
+  in
+  let transfer (b : Mir.Block.t) = function
+    | Unreached -> Unreached
+    | Reached m -> Reached (List.fold_left def m b.Mir.Block.insns)
+  in
+  (* The delay slot defines on the edge: on every edge for a plain slot,
+     only on the taken edge of a two-way branch for an annulled one (on
+     the fall edge the old values survive). *)
+  let edge (src : Mir.Block.t) dst st =
+    let term = src.Mir.Block.term in
+    match (st, term.Mir.Block.delay) with
+    | Unreached, _ | _, None -> st
+    | Reached m, Some insn -> (
+      let strong = Reached (def m insn) in
+      if not term.Mir.Block.annul then strong
+      else
+        match term.Mir.Block.kind with
+        | Mir.Block.Br (_, taken, fall) when not (String.equal taken fall) ->
+          if String.equal dst taken then strong else st
+        | _ -> join strong st)
+  in
+  let res =
+    Mir.Dataflow.solve
+      {
+        Mir.Dataflow.direction = Mir.Dataflow.Forward;
+        boundary = Reached Mir.Reg.Map.empty;
+        bottom = Unreached;
+        join;
+        equal;
+        transfer;
+        edge = Some edge;
+        widen = None;
+        widen_after = 0;
+      }
+      fn
+  in
+  fun label ->
+    match Mir.Dataflow.fact_in res label with
+    | Unreached -> fun _ -> None (* no path reaches the block *)
+    | Reached m -> (
+      fun r -> match get m r with Const c -> Some c | Nac -> None)
+
 let run_func (fn : Mir.Func.t) =
-  let t = Analysis.Reaching.analyze fn in
+  let const_in = analyze fn in
   let changed = ref false in
   List.iter
     (fun (b : Mir.Block.t) ->
-      let entry_cache = Hashtbl.create 8 in
-      let entry_const r =
-        match Hashtbl.find_opt entry_cache r with
-        | Some v -> v
-        | None ->
-          let v = Analysis.Reaching.const_in t fn b.Mir.Block.label r in
-          Hashtbl.add entry_cache r v;
-          v
-      in
+      let entry_const = const_in b.Mir.Block.label in
       (* local environment over the block body; a register not locally
          redefined keeps its entry fact *)
       let env = Hashtbl.create 8 in
@@ -76,6 +166,3 @@ let run_func (fn : Mir.Func.t) =
       b.Mir.Block.insns <- List.map rewrite b.Mir.Block.insns)
     fn.Mir.Func.blocks;
   !changed
-
-let run (p : Mir.Program.t) =
-  List.fold_left (fun acc fn -> run_func fn || acc) false p.Mir.Program.funcs

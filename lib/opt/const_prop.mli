@@ -1,19 +1,19 @@
-(** Constant propagation driven by reaching definitions
-    ({!Analysis.Reaching}).
+(** Whole-function constant propagation: one forward pass on
+    {!Mir.Dataflow} over a flat per-register lattice
+    ([Const c | Nac], with "unreached" as bottom).
 
-    Complements {!Global_const}: that pass treats registers absent from
-    its state map as varying, deliberately giving up on the machine's
-    zero-initialised register file.  The reaching-definitions oracle
-    models the entry pseudo-definitions precisely (non-parameters start
-    at 0), so a register whose every reaching definition is the same
-    [Mov r, #c] — or the entry zero — folds to the constant here even
-    when one path never writes it.
+    At function entry every register holds 0 (the simulator
+    zero-initialises register files) except the parameters, which are
+    not a constant.  Only [Mov r, #c] makes a constant that crosses a
+    block boundary; every other definition is not a constant there.  A
+    delay slot defines on the edge: a plain slot on every edge, an
+    annulled one only on the taken edge of a two-way branch.
 
-    Compares are left untouched, as in {!Global_const}: the sequence
-    detector wants registers there, and the interval facts already see
-    through them. *)
+    Within a block, moves, unary and binary operations fold locally on
+    top of the block's entry facts, and uses whose register is a known
+    constant are rewritten to immediates.  Compares are left untouched:
+    the sequence detector wants registers there, and the interval facts
+    already see through them. *)
 
 val run_func : Mir.Func.t -> bool
 (** Returns true when something changed. *)
-
-val run : Mir.Program.t -> bool

@@ -18,24 +18,27 @@ let actual_file = "counts_golden.actual"
 let input_bytes = 4000
 
 let header =
-  "# set workload profile version insns cond_branches static_insns | \
-   cycles(" ^ String.concat "," (List.map (fun (m : Sim.Cycle_model.params) ->
-       m.Sim.Cycle_model.model_name) Sim.Cycle_model.all_machines)
-  ^ ") | mispredicts("
-  ^ String.concat ","
-      (List.map
-         (fun (h, c, e) -> Printf.sprintf "%d/%d/%d" h c e)
-         Driver.Config.paper_predictors)
-  ^ ")"
+  Printf.sprintf
+    "# set workload profile version insns cond_branches static_insns | \
+     cycles(%s) | mispredicts(%s)"
+    (String.concat ","
+       (List.map
+          (fun (m : Sim.Cycle_model.params) -> m.Sim.Cycle_model.model_name)
+          Sim.Cycle_model.all_machines))
+    (String.concat ","
+       (List.map
+          (fun (h, c, e) -> Printf.sprintf "%d/%d/%d" h c e)
+          Driver.Config.paper_predictors))
 
 let version_line prefix tag (v : Driver.Pipeline.version) =
   let c = v.Driver.Pipeline.v_counters in
+  let ints l = String.concat " " (List.map string_of_int l) in
   Printf.sprintf "%s %s %d %d %d | %s | %s" prefix tag c.Sim.Counters.insns
     c.Sim.Counters.cond_branches v.Driver.Pipeline.v_static_insns
-    (String.concat " " (List.map (fun (_, n) -> string_of_int n) v.Driver.Pipeline.v_cycles))
-    (String.concat " "
+    (ints (List.map snd v.Driver.Pipeline.v_cycles))
+    (ints
        (List.map
-          (fun key -> string_of_int (List.assoc key v.Driver.Pipeline.v_mispredicts))
+          (fun key -> List.assoc key v.Driver.Pipeline.v_mispredicts)
           Driver.Config.paper_predictors))
 
 let jobs () =
@@ -57,7 +60,8 @@ let jobs () =
                   w.Workloads.Spec.name (Driver.Config.profile_name profile),
                 Driver.Pipeline.job ~config ~name:w.Workloads.Spec.name
                   ~source:w.Workloads.Spec.source
-                  ~training_input:(trunc (Lazy.force w.Workloads.Spec.training_input))
+                  ~training_input:
+                    (trunc (Lazy.force w.Workloads.Spec.training_input))
                   ~test_input:(trunc (Lazy.force w.Workloads.Spec.test_input))
                   () ))
             Workloads.Registry.all)

@@ -1,8 +1,8 @@
 (* The lib/analysis subsystem: the generic engine, the interval and
    exact-set domains, the derived analyses (intervals, cc liveness,
-   reaching definitions, purity), their consumers (lint, Explain,
-   Const_prop, dot annotations), and the analysis-strengthened detector
-   end to end on the awk fixture. *)
+   purity), their consumers (lint, Explain, dot annotations), the
+   whole-function constant pass Const_prop, and the analysis-strengthened
+   detector end to end on the awk fixture. *)
 
 open Helpers
 module Iv = Analysis.Iv
@@ -185,7 +185,7 @@ let test_intervals_widening_terminates () =
        (Iv.make min_int 999_999))
 
 (* ------------------------------------------------------------------ *)
-(* Cc liveness / reaching definitions / purity                         *)
+(* Cc liveness / whole-function constants / purity                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_cc_live_through_forwarder () =
@@ -225,7 +225,7 @@ let test_cc_live_call_clobbers () =
   check_bool "call blocks the entry codes" false
     (Analysis.Cc_live.live_in t "mid")
 
-let test_reaching_const_oracle () =
+let test_const_prop_join () =
   let fn =
     fn_of
       [
@@ -234,18 +234,21 @@ let test_reaching_const_oracle () =
           Mir.Block.Br (Mir.Cond.Eq, "a", "b") );
         ("a", [], Mir.Block.Jmp "join");
         ("b", [ Mir.Insn.Mov (r 1, imm 7) ], Mir.Block.Jmp "join");
-        ("join", [], Mir.Block.Ret (Some (reg 1)));
+        ( "join",
+          [
+            Mir.Insn.Binop (Mir.Insn.Add, r 2, reg 1, reg 9);
+            Mir.Insn.Mov (r 3, reg 0);
+          ],
+          Mir.Block.Ret (Some (reg 2)) );
       ]
   in
-  let t = Analysis.Reaching.analyze fn in
-  check_bool "same constant on both paths" true
-    (Analysis.Reaching.const_in t fn "join" (r 1) = Some 7);
-  check_bool "never-assigned register is the entry zero" true
-    (Analysis.Reaching.const_in t fn "join" (r 9) = Some 0);
-  check_bool "parameter is unknown" true
-    (Analysis.Reaching.const_in t fn "join" (r 0) = None);
-  check_bool "two sites reach the join" true
-    (List.length (Analysis.Reaching.sites_in t "join" (r 1)) = 2)
+  check_bool "changed" true (Mopt.Const_prop.run_func fn);
+  match (block fn "join").Mir.Block.insns with
+  | [ Mir.Insn.Binop (Mir.Insn.Add, _, x, y); Mir.Insn.Mov (_, p) ] ->
+    check_bool "same constant on both paths" true (x = imm 7);
+    check_bool "never-assigned register is the entry zero" true (y = imm 0);
+    check_bool "parameter is left alone" true (p = reg 0)
+  | _ -> Alcotest.fail "unexpected block shape"
 
 let test_purity_interval_refutes_trap () =
   let fn =
@@ -416,6 +419,36 @@ let test_const_prop_entry_zero () =
   | _ -> Alcotest.fail "unexpected block shape");
   check_bool "fixpoint" false (Mopt.Const_prop.run_func fn)
 
+(* A delay slot defines on the edge: an annulled slot only on the taken
+   edge (the fall-through keeps the value from before the branch), a
+   plain slot on both. *)
+let test_const_prop_delay_slot_edges () =
+  let folded ~annul =
+    let fn =
+      fn_of
+        [
+          ( "entry",
+            [ Mir.Insn.Mov (r 1, imm 3); Mir.Insn.Cmp (reg 0, imm 0) ],
+            Mir.Block.Br (Mir.Cond.Eq, "taken", "fall") );
+          ("taken", [ Mir.Insn.Mov (r 2, reg 1) ], Mir.Block.Ret (Some (reg 2)));
+          ("fall", [ Mir.Insn.Mov (r 2, reg 1) ], Mir.Block.Ret (Some (reg 2)));
+        ]
+    in
+    let term = (block fn "entry").Mir.Block.term in
+    term.Mir.Block.delay <- Some (Mir.Insn.Mov (r 1, imm 4));
+    term.Mir.Block.annul <- annul;
+    ignore (Mopt.Const_prop.run_func fn);
+    List.map
+      (fun label ->
+        match (block fn label).Mir.Block.insns with
+        | [ Mir.Insn.Mov (_, Mir.Operand.Imm c) ] -> c
+        | _ -> Alcotest.failf "%s: no constant folded" label)
+      [ "taken"; "fall" ]
+  in
+  Alcotest.(check (list int)) "annulled: taken edge only" [ 4; 3 ]
+    (folded ~annul:true);
+  Alcotest.(check (list int)) "plain: both edges" [ 4; 4 ] (folded ~annul:false)
+
 (* ------------------------------------------------------------------ *)
 (* Analysis-strengthened detection on the awk fixture                  *)
 (* ------------------------------------------------------------------ *)
@@ -486,7 +519,7 @@ let suite =
       test_intervals_widening_terminates;
     case "cc-live: jmp forwarder" test_cc_live_through_forwarder;
     case "cc-live: call clobbers" test_cc_live_call_clobbers;
-    case "reaching: whole-function constant oracle" test_reaching_const_oracle;
+    case "const-prop: whole-function constants at a join" test_const_prop_join;
     case "purity: facts refute a division trap"
       test_purity_interval_refutes_trap;
     case "lint: unreachable arm and decided branch, json"
@@ -495,7 +528,8 @@ let suite =
     case "lint: clean program is clean" test_lint_clean_program;
     case "explain: lone test names its blocker" test_explain_names_the_blocker;
     case "dot: annotation hook" test_dot_annotation_hook;
-    case "const-prop: reaching-defs oracle" test_const_prop_entry_zero;
+    case "const-prop: entry zero, compares kept" test_const_prop_entry_zero;
+    case "const-prop: delay-slot edge rule" test_const_prop_delay_slot_edges;
     slow_case "awk: facts admit strictly more, certified, byte-identical"
       test_awk_facts_admit_strictly_more;
   ]

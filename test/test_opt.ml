@@ -438,10 +438,10 @@ let test_switch_empty_and_holes () =
     Mopt.Switch_lower.all_sets
 
 (* ------------------------------------------------------------------ *)
-(* Global constant propagation                                          *)
+(* Whole-function constant propagation                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_global_const_across_blocks () =
+let test_const_prop_across_blocks () =
   (* a constant defined in the entry flows into a later block *)
   let fn = Mir.Func.make ~name:"f" ~params:[] in
   Mir.Func.add_block fn
@@ -450,14 +450,14 @@ let test_global_const_across_blocks () =
     (Mir.Block.make ~label:"next"
        [ Mir.Insn.Binop (Mir.Insn.Add, r 2, reg 1, imm 1) ]
        (Mir.Block.Ret (Some (reg 2))));
-  check_bool "changed" true (Mopt.Global_const.run_func fn);
+  check_bool "changed" true (Mopt.Const_prop.run_func fn);
   match (Mir.Func.find_block fn "next").Mir.Block.insns with
   | [ Mir.Insn.Binop (_, _, Mir.Operand.Imm 7, Mir.Operand.Imm 1) ] -> ()
   | insns ->
     Alcotest.failf "constant did not flow: %s"
       (String.concat "; " (List.map Mir.Insn.show insns))
 
-let test_global_const_meet () =
+let test_const_prop_meet () =
   (* two predecessors assign different constants: the join must not fold *)
   let fn = Mir.Func.make ~name:"f" ~params:[ r 0 ] in
   Mir.Func.add_block fn
@@ -473,9 +473,9 @@ let test_global_const_meet () =
        [ Mir.Insn.Binop (Mir.Insn.Add, r 2, reg 1, imm 1) ]
        (Mir.Block.Ret (Some (reg 2))));
   check_bool "no change at a conflicting join" false
-    (Mopt.Global_const.run_func fn)
+    (Mopt.Const_prop.run_func fn)
 
-let test_global_const_agreeing_join () =
+let test_const_prop_agreeing_join () =
   (* both predecessors assign the same constant: fold at the join *)
   let fn = Mir.Func.make ~name:"f" ~params:[ r 0 ] in
   Mir.Func.add_block fn
@@ -488,7 +488,7 @@ let test_global_const_agreeing_join () =
     (Mir.Block.make ~label:"b" [ Mir.Insn.Mov (r 1, imm 5) ] (Mir.Block.Jmp "join"));
   Mir.Func.add_block fn
     (Mir.Block.make ~label:"join" [ Mir.Insn.Mov (r 2, reg 1) ] (Mir.Block.Ret (Some (reg 2))));
-  check_bool "changed" true (Mopt.Global_const.run_func fn);
+  check_bool "changed" true (Mopt.Const_prop.run_func fn);
   match (Mir.Func.find_block fn "join").Mir.Block.insns with
   | [ Mir.Insn.Mov (_, Mir.Operand.Imm 5) ] -> ()
   | _ -> Alcotest.fail "agreeing constant should flow through the join"
@@ -599,9 +599,9 @@ let suite =
     case "switch: all shapes equivalent" test_switch_equivalence;
     case "switch: empty and holey tables" test_switch_empty_and_holes;
     case "cleanup pipeline preserves semantics" test_cleanup_preserves_semantics;
-    case "global const: flows across blocks" test_global_const_across_blocks;
-    case "global const: conflicting join" test_global_const_meet;
-    case "global const: agreeing join" test_global_const_agreeing_join;
+    case "const prop: flows across blocks" test_const_prop_across_blocks;
+    case "const prop: conflicting join" test_const_prop_meet;
+    case "const prop: agreeing join" test_const_prop_agreeing_join;
     case "global const: loop-carried kill" test_global_const_loop_kill;
     case "global const: behaviour" test_global_const_behaviour;
     case "profile layout: hot arm falls through"

@@ -444,10 +444,11 @@ let test_replay_smoke () =
     (st.Driver.Server.st_requests > st.Driver.Server.st_cold)
 
 (* The replay record and the serve [stats] line share one encoder of
-   Server.stats.  A fresh record must lift into every metric the
-   committed BENCH_PR7.json lifts into (plus the chaos and durability
-   verdicts PR7 predates), and the stats object must carry every key
-   the CI daemon and chaos smoke checks read. *)
+   Server.stats.  A fresh clean record must lift into exactly the
+   metrics the committed BENCH_PR7.json lifts into, under the clean
+   [serve] context (chaos and durability verdicts belong to chaos runs
+   only), and the stats object must carry every key the CI daemon and
+   chaos smoke checks read. *)
 let test_replay_record_and_stats_keys () =
   let outcome =
     Driver.Replay.run ~workloads:[ "wc" ] ~requests:12 ~concurrency:1 ~seed:3
@@ -455,15 +456,18 @@ let test_replay_record_and_stats_keys () =
   in
   let st = outcome.Driver.Replay.ro_stats in
   let path = Filename.temp_file "bromc_replay" ".json" in
-  let fresh =
+  let fresh_record =
     Fun.protect
       ~finally:(fun () -> Sys.remove path)
       (fun () ->
         Driver.Replay.write_json ~path outcome;
         match Bench_db.Import.of_file ~seq:7 path with
-        | Ok r -> r.Bench_db.Record.r_metrics
+        | Ok r -> r
         | Error m -> Alcotest.fail m)
   in
+  Alcotest.(check string) "a clean record imports as serve" "serve"
+    fresh_record.Bench_db.Record.r_context;
+  let fresh = fresh_record.Bench_db.Record.r_metrics in
   let committed =
     match Bench_db.Import.of_file "../BENCH_PR7.json" with
     | Ok r -> r.Bench_db.Record.r_metrics
@@ -473,12 +477,7 @@ let test_replay_record_and_stats_keys () =
     List.sort compare (List.map (fun m -> m.Bench_db.Record.m_name) ms)
   in
   Alcotest.(check (list string))
-    "fresh metrics = PR7 metrics + chaos/durability verdicts"
-    (names committed
-    @ [ "serve.chaos_escapes"; "serve.chaos_faults"; "serve.restore_exact";
-        "serve.restored" ]
-    |> List.sort compare)
-    (names fresh);
+    "fresh metrics = PR7 metrics" (names committed) (names fresh);
   let value name =
     (List.find (fun m -> m.Bench_db.Record.m_name = name) fresh)
       .Bench_db.Record.m_value
